@@ -44,14 +44,16 @@ import json
 import os
 import shutil
 import tempfile
-from contextlib import contextmanager
+import uuid
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import IO, Dict, Iterator, List, Optional, Tuple
 
 from .database import ASdbDataset, DatasetDiff, diff_record_streams
 from .persistence import (
+    JsonFrame,
     dataset_to_json,
-    iter_json_chunks,
+    item_json,
     record_from_item,
     record_to_item,
 )
@@ -79,62 +81,59 @@ class SnapshotCorruption(SnapshotError):
 
 
 def dataset_digest(records) -> str:
-    """Digest of a dataset's full JSON document, computed over the
-    chunk stream without materializing the document (O(1) memory for
-    any backend).
+    """Digest of a dataset's full JSON document, computed record by
+    record without materializing the document (O(1) memory for any
+    backend).
 
     The same blake2b-128 recorded in every :class:`SnapshotInfo`, so a
     caller holding a store-backed dataset can check it against a
     version's manifest digest without loading anything.
     """
-    hasher = hashlib.blake2b(digest_size=16)
-    for chunk in iter_json_chunks(records):
-        hasher.update(chunk.encode("utf-8"))
-    return hasher.hexdigest()
+    return _Document().digest(records)
 
 
-def _delta_by_merge(new_records, old_records):
-    """Changed items + removed ASNs via ordered merge over two
-    ascending-ASN record streams.
-
-    Replaces the dict-of-every-item comparison: only the delta itself
-    accumulates, so a sweep snapshot over a store-backed dataset keeps
-    O(delta) memory on the new side (the parent side is materialized by
-    the caller's delta-chain replay).  Items compare by their
-    :func:`record_to_item` shape, exactly as the dict version did.
-    """
-    changed: List[Dict[str, object]] = []
-    removed: List[int] = []
-    sentinel = object()
-    new_iter, old_iter = iter(new_records), iter(old_records)
-    new = next(new_iter, sentinel)
-    old = next(old_iter, sentinel)
-    while new is not sentinel or old is not sentinel:
-        if old is sentinel or (new is not sentinel and new.asn < old.asn):
-            changed.append(record_to_item(new))
-            new = next(new_iter, sentinel)
-        elif new is sentinel or old.asn < new.asn:
-            removed.append(old.asn)
-            old = next(old_iter, sentinel)
-        else:
-            new_item = record_to_item(new)
-            if new_item != record_to_item(old):
-                changed.append(new_item)
-            new = next(new_iter, sentinel)
-            old = next(old_iter, sentinel)
-    return changed, removed
+#: What parsing a stored record item raises when the item is malformed.
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
 
 
-def _write_atomic(path: str, chunks) -> None:
-    """Write a document from its chunk stream via tmp file + rename, so
-    a crash mid-write never leaves a truncated version on disk.  The
-    tmp name carries the pid so two writers racing on the same root
-    never stream into each other's half-written file."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as handle:
-        for chunk in chunks:
-            handle.write(chunk)
-    os.replace(tmp, path)
+class _Document:
+    """A full JSON document built one :func:`item_json` text at a time:
+    digested as it grows and, given a handle, written as well."""
+
+    def __init__(self, handle: Optional[IO[str]] = None) -> None:
+        self._frame = JsonFrame()
+        self._hasher = hashlib.blake2b(digest_size=16)
+        self._handle = handle
+        self._put(self._frame.head)
+
+    def _put(self, chunk: str) -> None:
+        self._hasher.update(chunk.encode("utf-8"))
+        if self._handle is not None:
+            self._handle.write(chunk)
+
+    def add(self, text: str) -> None:
+        self._put(self._frame.record(text))
+
+    def finish(self) -> str:
+        """Close the document; returns its digest."""
+        self._put(self._frame.tail())
+        return self._hasher.hexdigest()
+
+    def digest(self, records) -> str:
+        """Add every record, then close the document."""
+        for record in records:
+            self.add(item_json(record_to_item(record)))
+        return self.finish()
+
+
+def _canonical_item(item: dict, version: int) -> dict:
+    """A stored item as :meth:`SnapshotStore.load` re-serializes it."""
+    try:
+        return record_to_item(record_from_item(item))
+    except _MALFORMED as exc:
+        raise SnapshotCorruption(
+            f"v{version}: malformed record item: {exc!r}"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -368,18 +367,93 @@ class SnapshotStore:
             count += 1
         return count
 
-    def _write_full_document(self, filename: str, dataset) -> str:
-        """Stream the full JSON document to ``filename``, returning its
-        digest (hashed chunk by chunk — one pass, O(1) memory)."""
-        hasher = hashlib.blake2b(digest_size=16)
+    @contextmanager
+    def _new_document(self, filename: str, created: List[str]):
+        """A handle on a tmp file that becomes ``filename`` when the
+        block exits cleanly.
 
-        def hashed_chunks():
-            for chunk in iter_json_chunks(dataset):
-                hasher.update(chunk.encode("utf-8"))
-                yield chunk
+        The file is hard-linked into place, which never replaces an
+        existing file: a handle that lost a race for this version gets
+        a :class:`SnapshotError` and leaves the winner's document
+        intact.  The placed path is appended to ``created`` so a save
+        that fails later removes exactly what it wrote; a crash before
+        the link leaves no document at all.
+        """
+        path = os.path.join(self._root, filename)
+        tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+        try:
+            with open(tmp, "w") as handle:
+                yield handle
+            try:
+                os.link(tmp, path)
+            except FileExistsError:
+                raise SnapshotError(
+                    f"snapshot store {self._root} already holds "
+                    f"{filename}: another handle saved this version, "
+                    f"or a crashed save left the file behind; reopen "
+                    f"the store and retry"
+                ) from None
+            created.append(path)
+        finally:
+            with suppress(FileNotFoundError):
+                os.unlink(tmp)
 
-        _write_atomic(os.path.join(self._root, filename), hashed_chunks())
-        return hasher.hexdigest()
+    def _delta_against(
+        self,
+        parent: SnapshotInfo,
+        dataset,
+        document: _Document,
+    ) -> Tuple[List[dict], List[int]]:
+        """Changed items and removed ASNs of ``dataset`` against the
+        ``parent`` version, in one streaming pass over ``dataset``.
+
+        Each record is encoded once.  Its text feeds ``document`` (the
+        new version's digest, and its checkpoint when one is written)
+        and, where the item equals the parent's, the parent's own
+        document, whose digest is verified before this returns — the
+        check :meth:`load` would have made.  Only parent items that
+        differ are re-serialized.  Items compare by their
+        :func:`record_to_item` shape.
+        """
+        items = self._parent_items(parent.version)
+        parent_document = _Document()
+        changed: List[Dict[str, object]] = []
+        removed: List[int] = []
+        old_asns = sorted(items)
+        position = 0
+
+        def drop(asn: int) -> None:
+            removed.append(asn)
+            parent_document.add(
+                item_json(_canonical_item(items[asn], parent.version))
+            )
+
+        for record in dataset:
+            item = record_to_item(record)
+            text = item_json(item)
+            document.add(text)
+            while position < len(old_asns) and old_asns[position] < record.asn:
+                drop(old_asns[position])
+                position += 1
+            if position == len(old_asns) or old_asns[position] != record.asn:
+                changed.append(item)
+                continue
+            old = items[old_asns[position]]
+            position += 1
+            if old == item:
+                parent_document.add(text)
+                continue
+            # A stored item that load() normalizes to the new one (say,
+            # its labels listed in another order) is unchanged, as it
+            # was when the parent was rebuilt as records.
+            old = _canonical_item(old, parent.version)
+            parent_document.add(item_json(old))
+            if old != item:
+                changed.append(item)
+        for asn in old_asns[position:]:
+            drop(asn)
+        self._verify(parent, parent_document.finish())
+        return changed, removed
 
     def save(
         self,
@@ -404,13 +478,15 @@ class SnapshotStore:
         ``snapshot.checkpoint`` event when the save was promoted).
 
         ``dataset`` may be any :class:`~repro.core.store.DatasetStore`
-        backend.  Full documents stream chunk by chunk to a tmp file
-        (digested incrementally, then renamed into place); delta saves
-        stream the new side through an ordered merge against the
-        materialized parent, so a store-backed sweep snapshot never
-        holds the new dataset resident.  Both document kinds land
-        atomically (tmp file + rename), and the manifest append detects
-        a concurrent writer before minting a version number.
+        backend, and is read in one streaming pass: a store-backed sweep
+        snapshot never holds the new dataset resident.  A delta save
+        replays the parent's record items straight from the stored JSON
+        and verifies the parent's digest in that same pass, raising
+        :class:`SnapshotCorruption` wherever :meth:`load` of the parent
+        would fail.  Documents land atomically and never replace an
+        existing file, and the manifest append detects a concurrent
+        writer before minting a version number; a save that fails
+        removes the documents it placed.
         """
         on_disk = self._count_disk_versions()
         if on_disk != len(self._versions):
@@ -424,55 +500,66 @@ class SnapshotStore:
         since_day, through_day = window if window is not None else (None,
                                                                     None)
         checkpoint: Optional[str] = None
-        if version == 1 or full:
-            filename = f"v{version:04d}.full.json"
-            kind, parent = "full", None
-            changed = len(dataset)
-            removed: List[int] = []
-            digest = self._write_full_document(filename, dataset)
-        else:
-            parent = version - 1
-            previous = self.load(parent)
-            changed_items, removed = _delta_by_merge(dataset, previous)
-            filename = f"v{version:04d}.delta.json"
-            payload = json.dumps(
-                {
-                    "format": DELTA_FORMAT,
-                    "base": parent,
-                    "changed": changed_items,
-                    "removed": removed,
-                },
-                indent=2,
-            )
-            _write_atomic(os.path.join(self._root, filename), (payload,))
-            kind, changed = "delta", len(changed_items)
-            if (self._checkpoint_every is not None
-                    and self._deltas_since_base() + 1
-                    >= self._checkpoint_every):
-                checkpoint = f"v{version:04d}.ckpt.json"
-                digest = self._write_full_document(checkpoint, dataset)
-            else:
-                digest = dataset_digest(dataset)
-        info = SnapshotInfo(
-            version=version,
-            kind=kind,
-            parent=parent,
-            filename=filename,
-            since_day=since_day,
-            through_day=through_day,
-            record_count=len(dataset),
-            changed=changed,
-            removed=len(removed),
-            digest=digest,
-            note=note,
-            provenance=dict(provenance or {}),
-            checkpoint=checkpoint,
-        )
-        self._versions.append(info)
+        created: List[str] = []
         try:
-            self._write_manifest(expected_on_disk=version - 1)
-        except SnapshotError:
-            self._versions.pop()
+            if version == 1 or full:
+                filename = f"v{version:04d}.full.json"
+                kind, parent = "full", None
+                changed = len(dataset)
+                removed: List[int] = []
+                with self._new_document(filename, created) as handle:
+                    digest = _Document(handle).digest(dataset)
+            else:
+                kind, parent = "delta", version - 1
+                filename = f"v{version:04d}.delta.json"
+                if (self._checkpoint_every is not None
+                        and self._deltas_since_base() + 1
+                        >= self._checkpoint_every):
+                    checkpoint = f"v{version:04d}.ckpt.json"
+                with (self._new_document(checkpoint, created)
+                      if checkpoint is not None
+                      else nullcontext()) as handle:
+                    document = _Document(handle)
+                    changed_items, removed = self._delta_against(
+                        self.info(parent), dataset, document
+                    )
+                    digest = document.finish()
+                with self._new_document(filename, created) as handle:
+                    handle.write(json.dumps(
+                        {
+                            "format": DELTA_FORMAT,
+                            "base": parent,
+                            "changed": changed_items,
+                            "removed": removed,
+                        },
+                        indent=2,
+                    ))
+                changed = len(changed_items)
+            info = SnapshotInfo(
+                version=version,
+                kind=kind,
+                parent=parent,
+                filename=filename,
+                since_day=since_day,
+                through_day=through_day,
+                record_count=len(dataset),
+                changed=changed,
+                removed=len(removed),
+                digest=digest,
+                note=note,
+                provenance=dict(provenance or {}),
+                checkpoint=checkpoint,
+            )
+            self._versions.append(info)
+            try:
+                self._write_manifest(expected_on_disk=version - 1)
+            except BaseException:
+                self._versions.pop()
+                raise
+        except BaseException:
+            for path in created:
+                with suppress(FileNotFoundError):
+                    os.unlink(path)
             raise
         if runlog is not None:
             runlog.emit(
@@ -544,10 +631,13 @@ class SnapshotStore:
             raise SnapshotError(
                 f"v{version} is a full snapshot; it records no delta"
             )
+        return self._read_delta(info)
+
+    def _read_delta(self, info: SnapshotInfo) -> Tuple[List[dict], List[int]]:
         delta = json.loads(self._read_file(info.filename, info.version))
         if delta.get("format") != DELTA_FORMAT:
             raise SnapshotCorruption(
-                f"v{version}: unsupported delta format "
+                f"v{info.version}: unsupported delta format "
                 f"{delta.get('format')!r}"
             )
         return (
@@ -595,6 +685,79 @@ class SnapshotStore:
         except Exception:  # pragma: no cover - the original error wins
             pass
 
+    def _walk(
+        self,
+        target: SnapshotInfo,
+        use_checkpoints: bool = True,
+    ) -> Tuple[SnapshotInfo, str, List[SnapshotInfo]]:
+        """The replay plan for ``target``: the nearest version at or
+        before it with a stored full document, that document's name,
+        and the deltas from there to ``target``, oldest first."""
+        chain: List[SnapshotInfo] = []
+        info = target
+        base_name = self._full_document_name(info, use_checkpoints)
+        while base_name is None:
+            chain.append(info)
+            if info.parent is None:
+                raise SnapshotCorruption(
+                    f"delta v{info.version} has no parent"
+                )
+            info = self.info(info.parent)
+            base_name = self._full_document_name(info, use_checkpoints)
+        chain.reverse()
+        return info, base_name, chain
+
+    @staticmethod
+    def _verify(info: SnapshotInfo, digest: str) -> None:
+        """Check a materialized document's digest against the manifest."""
+        if not info.digest:
+            raise SnapshotCorruption(
+                f"v{info.version}: manifest entry records no "
+                f"digest; refusing to trust an unverifiable document"
+            )
+        if digest != info.digest:
+            raise SnapshotCorruption(
+                f"v{info.version}: materialized document does not "
+                f"match its recorded digest"
+            )
+
+    def _parent_items(self, version: int) -> Dict[int, dict]:
+        """``version``'s record items by ASN, replayed from the stored
+        JSON along :meth:`load`'s walk without building records.
+
+        Fails with :class:`SnapshotCorruption` wherever :meth:`load`
+        would fail on these documents: an item that a later one
+        replaces or removes is parsed here as load parses it, and the
+        items that survive are checked, with the digest, by
+        :meth:`_delta_against`.
+        """
+        base, base_name, chain = self._walk(self.info(version))
+        items: Dict[int, dict] = {}
+
+        def place(item: dict) -> None:
+            asn = int(item["asn"])
+            if asn in items:
+                record_from_item(items[asn])
+            items[asn] = item
+
+        try:
+            for item in self._full_items(base_name, base.version):
+                place(item)
+            for info in chain:
+                changed, removed = self._read_delta(info)
+                for asn in removed:
+                    if asn in items:
+                        record_from_item(items.pop(asn))
+                for item in changed:
+                    place(item)
+        except SnapshotError:
+            raise
+        except _MALFORMED as exc:
+            raise SnapshotCorruption(
+                f"v{version}: malformed stored document: {exc!r}"
+            ) from exc
+        return items
+
     def load(
         self,
         version: Optional[int] = None,
@@ -629,18 +792,7 @@ class SnapshotStore:
                 raise SnapshotError("snapshot store is empty")
             version = latest.version
         target = self.info(version)
-
-        chain: List[SnapshotInfo] = []
-        info = target
-        base_name = self._full_document_name(info, use_checkpoints)
-        while base_name is None:
-            chain.append(info)
-            if info.parent is None:
-                raise SnapshotCorruption(
-                    f"delta v{info.version} has no parent"
-                )
-            info = self.info(info.parent)
-            base_name = self._full_document_name(info, use_checkpoints)
+        base, base_name, chain = self._walk(target, use_checkpoints)
         if into is not None and len(into):
             raise SnapshotError(
                 "load target store is not empty: refusing to merge "
@@ -648,32 +800,16 @@ class SnapshotStore:
             )
         dataset = ASdbDataset() if into is None else into
         try:
-            for item in self._full_items(base_name, info.version):
+            for item in self._full_items(base_name, base.version):
                 dataset.add(record_from_item(item))
-            for delta_info in reversed(chain):
-                delta = json.loads(
-                    self._read_file(delta_info.filename, delta_info.version)
-                )
-                if delta.get("format") != DELTA_FORMAT:
-                    raise SnapshotCorruption(
-                        f"v{delta_info.version}: unsupported delta format "
-                        f"{delta.get('format')!r}"
-                    )
-                for asn in delta.get("removed", ()):
-                    dataset.remove(int(asn))
-                for item in delta.get("changed", ()):
+            for delta_info in chain:
+                changed, removed = self._read_delta(delta_info)
+                for asn in removed:
+                    dataset.remove(asn)
+                for item in changed:
                     dataset.add(record_from_item(item))
             dataset.flush()
-            if not target.digest:
-                raise SnapshotCorruption(
-                    f"v{target.version}: manifest entry records no "
-                    f"digest; refusing to trust an unverifiable document"
-                )
-            if dataset_digest(dataset) != target.digest:
-                raise SnapshotCorruption(
-                    f"v{target.version}: materialized document does not "
-                    f"match its recorded digest"
-                )
+            self._verify(target, dataset_digest(dataset))
         except BaseException:
             if into is not None:
                 self._rollback(into)

@@ -97,6 +97,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Content Too Large",
     503: "Service Unavailable",
 }
 
@@ -123,6 +124,11 @@ _READ_METHODS = ("GET", "HEAD")
 #: a broad token match over a large index stays bounded either way.
 ORG_LIMIT_DEFAULT = 20
 ORG_LIMIT_CAP = 200
+
+#: Largest request body read (and discarded) to keep a connection
+#: framed.  No endpoint takes a body, so a larger declared length is
+#: refused with 413 rather than read.
+MAX_BODY_BYTES = 65536
 
 
 class ServingApp:
@@ -735,6 +741,24 @@ class ServingApp:
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("ascii")
         return head if head_only else head + payload
 
+    @classmethod
+    def _check_body_length(cls, length: str) -> Optional[bytes]:
+        """The response refusing a ``Content-Length`` value, or None
+        when the body can be read: 400 unless it is a decimal digit
+        string, 413 above :data:`MAX_BODY_BYTES`.  Both close the
+        connection, since the body cannot be framed or skipped."""
+        if not (length.isascii() and length.isdigit()):
+            status, message = 400, "malformed Content-Length"
+        elif int(length) > MAX_BODY_BYTES:
+            status, message = 413, (
+                f"request body over {MAX_BODY_BYTES} bytes"
+            )
+        else:
+            return None
+        return cls._encode(
+            status, {"error": message}, {"Connection": "close"}
+        )
+
     async def _handle_client(
         self,
         reader: asyncio.StreamReader,
@@ -769,9 +793,14 @@ class ServingApp:
                         header_map[name.strip().lower()] = value.strip()
                 # Discard any request body so the next request in the
                 # pipeline frames correctly.
-                length = int(header_map.get("content-length", 0) or 0)
+                length = header_map.get("content-length")
                 if length:
-                    await reader.readexactly(length)
+                    refusal = self._check_body_length(length)
+                    if refusal is not None:
+                        writer.write(refusal)
+                        await writer.drain()
+                        break
+                    await reader.readexactly(int(length))
                 connection = header_map.get("connection", "").lower()
                 keep_alive = (
                     connection != "close"

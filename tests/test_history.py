@@ -60,6 +60,24 @@ class _LedgerStub:
         self.events.append((event, fields))
 
 
+class _RacingDataset(ASdbDataset):
+    """A dataset whose first iteration runs ``race`` before yielding,
+    to interleave another handle's save with the save reading it."""
+
+    def __init__(self, race, *records):
+        super().__init__()
+        for record in records:
+            self.add(record)
+        self._race = race
+        self.raced = False
+
+    def __iter__(self):
+        if not self.raced:
+            self.raced = True
+            self._race()
+        return super().__iter__()
+
+
 class TestCheckpointing:
     def _versions(self, count):
         """v1 plus ``count - 1`` one-record-changed successors."""
@@ -224,6 +242,53 @@ class TestCorrectnessFixes:
         fresh = SnapshotStore(root)
         assert len(fresh) == 2
         assert dataset_to_json(fresh.load(2)) == dataset_to_json(winner)
+
+    @pytest.mark.parametrize("checkpoint_every", [None, 1])
+    def test_losing_writer_never_overwrites_the_winner(
+        self, tmp_path, checkpoint_every
+    ):
+        root = tmp_path / "s"
+        loser = SnapshotStore(root, checkpoint_every=checkpoint_every)
+        loser.save(_dataset(_record(1)))
+        winner_handle = SnapshotStore(root)
+        winner = _dataset(_record(1), _record(2))
+        # The loser has passed its manifest check and is reading its
+        # dataset when the winner commits the same version.
+        losing = _RacingDataset(
+            lambda: winner_handle.save(winner), _record(1), _record(3)
+        )
+        with pytest.raises(SnapshotError, match="reopen"):
+            loser.save(losing)
+        assert losing.raced
+        fresh = SnapshotStore(root)
+        assert len(fresh) == 2
+        assert dataset_to_json(fresh.load(2)) == dataset_to_json(winner)
+        assert sorted(os.listdir(root)) == sorted(
+            ["manifest.json", "v0001.full.json", "v0002.delta.json"]
+            + (["v0002.ckpt.json"] if checkpoint_every else [])
+        )
+
+    def test_failed_save_removes_only_its_own_documents(self, tmp_path):
+        root = tmp_path / "s"
+        loser = SnapshotStore(root)
+        loser.save(_dataset(_record(1)))
+        winner_handle = SnapshotStore(root)
+        winner = _dataset(_record(2))
+        # The winner's full v2 does not collide with the loser's delta
+        # file, so the loser places v0002.delta.json before its
+        # manifest append fails; it must take that file back out.
+        losing = _RacingDataset(
+            lambda: winner_handle.save(winner, full=True), _record(3)
+        )
+        with pytest.raises(SnapshotError, match="reopen"):
+            loser.save(losing)
+        assert losing.raced
+        assert sorted(os.listdir(root)) == [
+            "manifest.json", "v0001.full.json", "v0002.full.json",
+        ]
+        assert dataset_to_json(SnapshotStore(root).load(2)) == (
+            dataset_to_json(winner)
+        )
 
     def test_set_meta_detects_stale_handle(self, tmp_path):
         root = tmp_path / "s"

@@ -1,6 +1,10 @@
 """Tests for dataset persistence (CSV and JSON round-trips)."""
 
+import json
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     ASdbDataset,
@@ -10,7 +14,9 @@ from repro.core import (
     dataset_from_json,
     dataset_to_json,
 )
-from repro.taxonomy import Label, LabelSet
+from repro.core.persistence import item_json, iter_json_chunks, record_to_item
+from repro.core.snapshots import dataset_digest
+from repro.taxonomy import Label, LabelSet, naicslite
 
 
 def _dataset():
@@ -161,6 +167,125 @@ class TestJsonRoundTrip:
     def test_empty_dataset(self):
         restored = dataset_from_json(dataset_to_json(ASdbDataset()))
         assert len(restored) == 0
+
+
+def _reference_item_json(item):
+    """The record text as the format defines it: the standalone
+    ``json.dumps(item, indent=2)``, re-indented two levels deep."""
+    body = json.dumps(item, indent=2)
+    return "\n".join("    " + line for line in body.splitlines())
+
+
+_LAYER1 = [category.slug for category in naicslite.ALL_LAYER1]
+_LAYER2 = [sub.slug for sub in naicslite.ALL_LAYER2]
+# Quotes, backslashes, control characters, DEL, a line separator,
+# non-ASCII and astral text, next to whatever st.text() draws.
+_tricky_text = st.text(max_size=12) | st.text(
+    alphabet='"\\\n\r\t\x00\x1f\x7f\u2028é中\U0001f600/ a', max_size=12
+)
+_labels = st.lists(
+    st.sampled_from(_LAYER2).map(Label.from_layer2)
+    | st.sampled_from(_LAYER1).map(lambda slug: Label(layer1=slug)),
+    max_size=4,
+).map(LabelSet)
+_records = st.builds(
+    ASdbRecord,
+    asn=st.integers(min_value=0, max_value=2**32 - 1),
+    labels=_labels,
+    stage=st.sampled_from(list(Stage)),
+    domain=st.none() | _tricky_text,
+    sources=st.lists(_tricky_text, max_size=3).map(tuple),
+    org_key=st.none() | _tricky_text,
+    degraded_sources=st.lists(_tricky_text, max_size=2).map(tuple),
+)
+
+
+class TestJsonEncoding:
+    """The JSON document's bytes are pinned to ``json.dumps(...,
+    indent=2)``: every snapshot digest in existing stores depends on
+    them."""
+
+    @given(records=st.lists(_records, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_chunks_match_reindented_json_dumps(self, records):
+        chunks = list(iter_json_chunks(records))
+        assert len(chunks) == len(records) + 2
+        for position, (record, chunk) in enumerate(
+            zip(records, chunks[1:-1])
+        ):
+            separator = "\n" if position == 0 else ",\n"
+            assert chunk == separator + _reference_item_json(
+                record_to_item(record)
+            )
+        assert "".join(chunks) == json.dumps(
+            {
+                "format": "asdb-repro/1",
+                "records": [record_to_item(record) for record in records],
+            },
+            indent=2,
+        )
+
+    @pytest.mark.parametrize("change", [
+        {"asn": True},
+        {"asn": 64512.0},
+        {"domain": 7},
+        {"sources": ("dnb", "zvelo")},
+        {"sources": ["dnb", None]},
+        {"org_key": ["not", "a", "string"]},
+        {"degraded_sources": []},
+        {"labels": [{"layer1": "finance"}]},
+        {"labels": [{"layer2": None, "layer1": "finance"}]},
+        {"extra": {"nested": [1, 2.5, None]}},
+    ])
+    def test_values_outside_the_record_shape_fall_back(self, change):
+        item = record_to_item(_dataset().get(64512))
+        item.update(change)
+        assert item_json(item) == _reference_item_json(item)
+
+    def test_reordered_item_falls_back(self):
+        item = record_to_item(_dataset().get(64512))
+        reordered = dict(reversed(list(item.items())))
+        assert item_json(reordered) == _reference_item_json(reordered)
+
+    def test_golden_digest(self):
+        # Taken from the json.dumps encoder, before the record-shape
+        # fast path replaced it.
+        assert (
+            dataset_digest(_seeded_dataset())
+            == "d504dec98d776306931ddbf157e562ae"
+        )
+
+
+def _seeded_dataset(seed=2021, size=240):
+    """A fixed dataset exercising every field of the record shape."""
+    words = ("acme", "nét", "中文", 'quo"te', "back\\slash",
+             "tab\tnl\n", "bell\x07", "emoji\U0001f600", "plain")
+    sources = ("dnb", "crunchbase", "zoominfo", "clearbit", "zvelo",
+               "peeringdb", "ipinfo")
+    rng = random.Random(seed)
+
+    def phrase():
+        return "-".join(rng.sample(words, rng.randrange(1, 3)))
+
+    dataset = ASdbDataset()
+    for asn in sorted(rng.sample(range(1, 400_000), size)):
+        labels = [Label.from_layer2(rng.choice(_LAYER2))
+                  for _ in range(rng.randrange(3))]
+        if rng.random() < 0.2:
+            labels.append(Label(layer1=rng.choice(_LAYER1)))
+        stage = rng.choice(list(Stage))
+        domain = f"{phrase()}.example" if rng.random() < 0.7 else None
+        dataset.add(ASdbRecord(
+            asn=asn,
+            labels=LabelSet(labels),
+            stage=stage,
+            domain=domain,
+            sources=tuple(rng.sample(sources, rng.randrange(4))),
+            org_key=f"name:{phrase()}" if rng.random() < 0.8 else None,
+            degraded_sources=(tuple(rng.sample(sources, 1))
+                              if rng.random() < 0.1 else ()),
+        ))
+    return dataset
 
 
 class TestDatasetDiff:

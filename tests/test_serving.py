@@ -17,6 +17,7 @@ import asyncio
 import http.client
 import json
 import random
+import socket
 import threading
 import time
 
@@ -42,6 +43,7 @@ from repro.serving import (
     refresh_history_from_snapshots,
     refresh_index_from_snapshots,
 )
+from repro.serving.app import MAX_BODY_BYTES
 from repro.taxonomy import LabelSet
 
 
@@ -553,6 +555,55 @@ class TestHttpEndToEnd:
                     time.sleep(0.05)
             assert status == 200
             assert body["record"]["asn"] == asn
+
+
+def _raw_exchange(address, payload):
+    """Send raw bytes; read until the server closes the connection."""
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(payload)
+        received = b""
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                return received
+            received += data
+
+
+class TestContentLengthFraming:
+    @pytest.mark.parametrize("value, status", [
+        ("abc", 400),
+        ("-5", 400),
+        ("1e3", 400),
+        ("99999999999", 413),
+        (str(MAX_BODY_BYTES + 1), 413),
+    ])
+    def test_unusable_length_is_refused_and_closed(
+        self, classified, value, status
+    ):
+        _, _, dataset = classified
+        with _HttpService(ServingApp(index_from_store(dataset))) as service:
+            received = _raw_exchange(
+                service.address,
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: " + value.encode() + b"\r\n\r\n",
+            )
+        head, _, body = received.partition(b"\r\n\r\n")
+        lines = head.decode().split("\r\n")
+        assert lines[0].startswith(f"HTTP/1.1 {status} ")
+        assert "Connection: close" in lines
+        assert "error" in json.loads(body)
+
+    def test_bodies_within_the_cap_are_skipped(self, classified):
+        _, _, dataset = classified
+        with _HttpService(ServingApp(index_from_store(dataset))) as service:
+            received = _raw_exchange(
+                service.address,
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 5\r\n\r\nhello"
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                b"Connection: close\r\n\r\n",
+            )
+        assert received.count(b"HTTP/1.1 200 OK") == 2
 
 
 class TestSnapshotServing:

@@ -1,7 +1,11 @@
 """Tests for the versioned snapshot store and the incremental refresh
 engine (the Section-5.3 maintenance tentpole)."""
 
+import dataclasses
+import hashlib
 import json
+import os
+import random
 
 import pytest
 
@@ -12,9 +16,11 @@ from repro.core import (
     SnapshotCorruption,
     SnapshotError,
     SnapshotStore,
+    SqliteDatasetStore,
     Stage,
     dataset_from_json,
     dataset_to_json,
+    record_to_item,
 )
 from repro.obs import MetricsRegistry, narrate_sweep
 from repro.taxonomy import LabelSet
@@ -146,6 +152,256 @@ class TestSnapshotStore:
         assert diff.relabeled == (1,)
         assert diff.stage_changed == (2,)
         assert diff.changed_asns == (1, 2, 5, 7)
+
+
+def _delta_by_merge(new_records, old_records):
+    """The delta that save() computed before its single-pass rewrite,
+    by an ordered merge of the new dataset against the parent rebuilt
+    with load(): the reference the new path must match."""
+    changed, removed = [], []
+    sentinel = object()
+    new_iter, old_iter = iter(new_records), iter(old_records)
+    new = next(new_iter, sentinel)
+    old = next(old_iter, sentinel)
+    while new is not sentinel or old is not sentinel:
+        if old is sentinel or (new is not sentinel and new.asn < old.asn):
+            changed.append(record_to_item(new))
+            new = next(new_iter, sentinel)
+        elif new is sentinel or old.asn < new.asn:
+            removed.append(old.asn)
+            old = next(old_iter, sentinel)
+        else:
+            new_item = record_to_item(new)
+            if new_item != record_to_item(old):
+                changed.append(new_item)
+            new = next(new_iter, sentinel)
+            old = next(old_iter, sentinel)
+    return changed, removed
+
+
+def _reference_json(dataset):
+    """The full document as the format defines it."""
+    return json.dumps(
+        {
+            "format": "asdb-repro/1",
+            "records": [record_to_item(record) for record in dataset],
+        },
+        indent=2,
+    )
+
+
+_SLUG_CHOICES = (("isp",), ("hosting", "isp"), ("banks",), ())
+
+
+def _churn(rng, records, gone):
+    """Apply a few random adds, updates, removals and re-adds to the
+    ``asn -> record`` map; ``gone`` keeps removed records for re-adds."""
+    for _ in range(rng.randrange(6)):
+        action = rng.choice(("add", "update", "remove", "readd"))
+        if action == "add":
+            asn = rng.randrange(1, 5000)
+            records[asn] = _record(asn, rng.choice(_SLUG_CHOICES))
+        elif action == "readd" and gone:
+            record = gone.pop(rng.randrange(len(gone)))
+            if rng.random() < 0.5:
+                record = dataclasses.replace(record, domain="back.example")
+            records[record.asn] = record
+        elif records:
+            asn = rng.choice(sorted(records))
+            if action == "remove":
+                gone.append(records.pop(asn))
+                continue
+            records[asn] = dataclasses.replace(
+                records[asn],
+                **rng.choice((
+                    {"domain": f"d{rng.randrange(9)}.example"},
+                    {"labels": LabelSet.from_layer2_slugs(
+                        list(rng.choice(_SLUG_CHOICES)))},
+                    {"stage": rng.choice(list(Stage))},
+                    {"sources": tuple(rng.sample(("dnb", "zvelo", "ipinfo"),
+                                                 rng.randrange(3)))},
+                    {"org_key": rng.choice((None, "name:x", "name:y"))},
+                    {"degraded_sources": rng.choice(((), ("dnb",)))},
+                )),
+            )
+
+
+class TestSinglePassDelta:
+    """Delta saves against the reference of reloading the parent."""
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    @pytest.mark.parametrize("checkpoint_every", [None, 1, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_reload_and_merge_reference(
+        self, tmp_path, seed, checkpoint_every, backend
+    ):
+        rng = random.Random(seed)
+        root = tmp_path / "s"
+        store = SnapshotStore(root, checkpoint_every=checkpoint_every)
+        records = {
+            asn: _record(asn, rng.choice(_SLUG_CHOICES))
+            for asn in rng.sample(range(1, 5000), 40)
+        }
+        gone = []
+        deltas_since_base = 0
+        for version in range(1, 15):
+            if backend == "memory":
+                dataset = _dataset(*records.values())
+            else:
+                dataset = SqliteDatasetStore(
+                    str(tmp_path / f"v{version}.sqlite"), batch_size=7
+                )
+                for record in records.values():
+                    dataset.add(record)
+                dataset.flush()
+            reference = _reference_json(dataset)
+            full = version == 1 or rng.random() < 0.1
+            kind = "full" if full else "delta"
+            window, note = (version * 7, version * 7 + 7), f"v{version}"
+            expected = {
+                "version": version,
+                "kind": kind,
+                "parent": None if full else version - 1,
+                "filename": f"v{version:04d}.{kind}.json",
+                "since_day": window[0],
+                "through_day": window[1],
+                "record_count": len(records),
+                "changed": len(records),
+                "removed": 0,
+                "digest": hashlib.blake2b(
+                    reference.encode("utf-8"), digest_size=16
+                ).hexdigest(),
+                "note": note,
+                "provenance": {"seed": seed},
+            }
+            if full:
+                deltas_since_base = 0
+                store.save(dataset, window=window, note=note,
+                           provenance={"seed": seed}, full=version > 1)
+                assert (root / expected["filename"]).read_text() == reference
+            else:
+                changed, removed = _delta_by_merge(
+                    dataset, store.load(version - 1)
+                )
+                expected.update(changed=len(changed), removed=len(removed))
+                deltas_since_base += 1
+                checkpoint = root / f"v{version:04d}.ckpt.json"
+                if (checkpoint_every is not None
+                        and deltas_since_base >= checkpoint_every):
+                    deltas_since_base = 0
+                    expected["checkpoint"] = checkpoint.name
+                store.save(dataset, window=window, note=note,
+                           provenance={"seed": seed})
+                assert (root / expected["filename"]).read_text() == (
+                    json.dumps(
+                        {
+                            "format": "asdb-repro/delta/1",
+                            "base": version - 1,
+                            "changed": changed,
+                            "removed": removed,
+                        },
+                        indent=2,
+                    )
+                )
+                if "checkpoint" in expected:
+                    assert checkpoint.read_text() == reference
+                else:
+                    assert not checkpoint.exists()
+            manifest = json.loads((root / "manifest.json").read_text())
+            assert manifest["versions"][-1] == expected
+            if backend == "sqlite":
+                dataset.close()
+            _churn(rng, records, gone)
+        assert not [name for name in os.listdir(root) if "tmp" in name]
+
+    @staticmethod
+    def _chain(root):
+        """v1 full, then two deltas: v2 changes AS1, v3 swaps AS3 for
+        AS4 and leaves v2's item for AS1 in place."""
+        store = SnapshotStore(root)
+        store.save(_dataset(_record(1), _record(2), _record(3)))
+        store.save(_dataset(
+            _record(1, domain="a.example"), _record(2), _record(3)
+        ))
+        store.save(_dataset(
+            _record(1, domain="a.example"), _record(2), _record(4)
+        ))
+        return store
+
+    @pytest.mark.parametrize("tamper", [
+        "edit", "malformed", "truncate", "delete",
+    ])
+    @pytest.mark.parametrize("name", ["v0001.full.json", "v0002.delta.json"])
+    def test_tampered_parent_chain_refuses_the_next_save(
+        self, tmp_path, name, tamper
+    ):
+        root = tmp_path / "s"
+        store = self._chain(root)
+        path = root / name
+        if tamper in ("edit", "malformed"):
+            document = json.loads(path.read_text())
+            if name.endswith(".full.json"):
+                # AS2 survives to v3; AS1 is replaced by v2's item,
+                # which load() still parses on the way.
+                survivor, replaced = document["records"][:2][::-1]
+            else:
+                survivor = replaced = document["changed"][0]
+            if tamper == "edit":
+                survivor["domain"] = "tampered.example"
+            else:
+                del replaced["stage"]
+            path.write_text(json.dumps(document, indent=2))
+        elif tamper == "truncate":
+            path.write_text(path.read_text()[:-20])
+        else:
+            path.unlink()
+        with pytest.raises((KeyError, ValueError)):
+            store.load(3)
+        files = sorted(os.listdir(root))
+        manifest = (root / "manifest.json").read_bytes()
+        with pytest.raises(SnapshotCorruption):
+            store.save(_dataset(_record(1), _record(5)))
+        assert sorted(os.listdir(root)) == files
+        assert (root / "manifest.json").read_bytes() == manifest
+        assert len(store) == len(SnapshotStore(root)) == 3
+
+    def test_items_load_normalizes_are_unchanged(self, tmp_path):
+        # Stored items that differ from the new ones only in ways
+        # load() normalizes away still verify and stay out of the delta.
+        root = tmp_path / "s"
+        store = SnapshotStore(root)
+        records = (_record(1, ("hosting", "isp")), _record(2), _record(3))
+        store.save(_dataset(*records))
+        path = root / "v0001.full.json"
+        document = json.loads(path.read_text())
+        document["records"][0]["labels"].reverse()
+        document["records"][1]["degraded_sources"] = []
+        document["records"][2]["extra"] = "ignored"
+        path.write_text(json.dumps(document, indent=2))
+        current = _dataset(*records, _record(4))
+        assert _delta_by_merge(current, store.load(1)) == (
+            [record_to_item(_record(4))], []
+        )
+        info = store.save(current)
+        assert (info.changed, info.removed) == (1, 0)
+        assert json.loads((root / info.filename).read_text())["changed"] == (
+            [record_to_item(_record(4))]
+        )
+
+    def test_replaced_item_edits_pass_as_they_do_in_load(self, tmp_path):
+        # A value edit that a later delta overwrites never reaches the
+        # parent's digest, so load() accepts it; so does the next save.
+        root = tmp_path / "s"
+        store = self._chain(root)
+        path = root / "v0001.full.json"
+        document = json.loads(path.read_text())
+        document["records"][0]["domain"] = "tampered.example"
+        path.write_text(json.dumps(document, indent=2))
+        store.load(3)
+        info = store.save(_dataset(_record(1), _record(5)))
+        assert dataset_to_json(store.load(info.version)) == (
+            dataset_to_json(_dataset(_record(1), _record(5)))
+        )
 
 
 class TestIncrementalRefresh:
