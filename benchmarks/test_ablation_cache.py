@@ -70,8 +70,6 @@ def test_ablation_cache(benchmark, bench_world, gold_standard, report):
          "same org => same labels"],
         ["sibling consistency (no cache)", f"{consistency_n:.1%}",
          "per-AS WHOIS variance shows"],
-        ["wall time with cache", f"{time_c:.2f}s", ""],
-        ["wall time without", f"{time_n:.2f}s", ""],
     ]
     table = render_table(
         ["Metric", "Value", "Note"],

@@ -48,11 +48,15 @@ sequential ascending-ASN pass):
 Tracing caveat: with ``trace=True``, span *contents* (statuses, noted
 attributes) are unchanged, but span durations around batched stages
 measure time-to-resume rather than per-AS work — batch traces are for
-decisions, not for per-stage timing.
+decisions, not for per-stage timing.  On batch runs per-stage timing
+comes from the run ledger instead: the ``batch.asn_match``,
+``batch.ml`` and ``batch.source_match`` spans time each bulk call and
+note how many queries, domains or contacts it served.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -127,7 +131,7 @@ class _LeaderState:
         "runlog", "parent_id",
     )
 
-    def __init__(self, asn: int, gen, tb, runlog=None, parent_id=None) -> None:
+    def __init__(self, asn: int, gen, tb, runlog, parent_id) -> None:
         self.asn = asn
         self.gen = gen
         self.tb = tb
@@ -141,9 +145,9 @@ class _LeaderState:
         """Resume the generator until its next request (or its return).
 
         Runs on a pool thread; when the generator returns, the leader's
-        accumulated active time is emitted as a worker-side ledger span
-        (``batch.leader``) from that thread, so the ledger's causal tree
-        shows which thread classified which organization.
+        accumulated active time is written as a ``batch.leader`` ledger
+        span from that thread, so the ledger's causal tree shows which
+        thread classified which organization.
         """
         start = time.perf_counter()
         try:
@@ -154,18 +158,13 @@ class _LeaderState:
         except StopIteration as stop:
             self.request = None
             self.record = stop.value
-            if self.runlog is not None and self.runlog.enabled:
-                self.runlog.emit(
-                    "span",
-                    span_id=f"leader-{self.asn}",
-                    parent_id=self.parent_id,
-                    name="batch.leader",
-                    duration=self.active_seconds
-                    + (time.perf_counter() - start),
-                    status="ok",
-                    attributes={"asn": self.asn},
-                    worker=self.runlog.worker_stanza(),
-                )
+            self.runlog.emit_span(
+                "batch.leader",
+                self.active_seconds + (time.perf_counter() - start),
+                parent=self.parent_id,
+                status="ok",
+                attributes={"asn": self.asn},
+            )
         finally:
             self.active_seconds += time.perf_counter() - start
 
@@ -269,7 +268,7 @@ def run_batch(
                 while pending:
                     _serve_round(
                         asdb, pool, pending, m_phase_seconds, workers,
-                        runlog=runlog, parent_id=batch_id,
+                        runlog, batch_id,
                     )
                     pending = [
                         state for state in pending
@@ -324,29 +323,23 @@ def _classify_chain(
 ) -> List[ASdbRecord]:
     """Classify one cluster's non-leader members, in ascending order.
 
-    Runs on a pool thread; with a ledger configured the chain emits a
-    worker-side ``batch.chain`` span from that thread.
+    Runs on a pool thread; with a ledger configured the chain writes a
+    ``batch.chain`` span from that thread.
     """
-    runlog = asdb.runlog
     start = time.perf_counter()
     chain = [asdb._classify_one(asn) for asn in members]
-    if runlog.enabled and members:
-        runlog.emit(
-            "span",
-            span_id=f"chain-{members[0]}",
-            parent_id=parent_id,
-            name="batch.chain",
-            duration=time.perf_counter() - start,
-            status="ok",
-            attributes={"members": len(members)},
-            worker=runlog.worker_stanza(),
-        )
+    asdb.runlog.emit_span(
+        "batch.chain",
+        time.perf_counter() - start,
+        parent=parent_id,
+        status="ok",
+        attributes={"members": len(members)},
+    )
     return chain
 
 
 def _serve_round(
-    asdb, pool, pending, m_phase_seconds, workers=1,
-    runlog=None, parent_id=None,
+    asdb, pool, pending, m_phase_seconds, workers, runlog, parent_id,
 ) -> None:
     """Serve one round of suspended requests, one bulk call per kind.
 
@@ -354,13 +347,11 @@ def _serve_round(
     bulk call chunks its CPU-bound scoring over ``workers`` processes
     (see :mod:`repro.core.procpool`); every other stage stays on the
     thread pool, where the I/O-shaped work already scales.  With a
-    ledger configured, each bulk phase emits a ``batch.<phase>`` span
-    under the batch span, and the ML phase threads a picklable span
-    context into the process pool so worker-side chunk spans land in
-    the same causal tree.
+    ledger configured, each bulk phase writes a ``batch.<phase>`` span
+    under the batch span, and the ML phase writes one
+    ``procpool.chunk`` span per process-pool chunk under its own, from
+    the timing tuples the pool returns.
     """
-    if runlog is None:
-        runlog = asdb.runlog
     by_kind: Dict[str, List] = {}
     for state in pending:
         by_kind.setdefault(state.request[0], []).append(state)
@@ -380,17 +371,15 @@ def _serve_round(
         with m_phase_seconds.time(phase="ml"), \
                 runlog.span("batch.ml", parent=parent_id) as span:
             span.note(domains=len(waiting))
-            span_sink: List[Dict] = []
+            chunks: List[Tuple] = []
             verdicts = asdb._ml.classify_domains(
                 [state.request[1] for state in waiting],
                 process_workers=(
                     workers if asdb._executor == "process" else 0
                 ),
-                span_context=runlog.span_context(span.span_id),
-                span_sink=span_sink,
+                chunk_times=chunks,
             )
-            for record in span_sink:
-                runlog.emit_span_record(record)
+            _write_chunk_spans(runlog, span.span_id, chunks)
             replies.extend(zip(waiting, verdicts))
 
     waiting = by_kind.get(REQUEST_SOURCES, ())
@@ -407,6 +396,26 @@ def _serve_round(
         list(pool.map(
             lambda pair: pair[0].advance(pair[1]), replies
         ))
+
+
+def _write_chunk_spans(runlog, parent_id, chunks: Sequence[Tuple]) -> None:
+    """One ``procpool.chunk`` ledger span per timing tuple that
+    :func:`~repro.core.procpool.map_chunked` returned; a chunk scored
+    in this process is marked ``main``, a pool worker's ``process``."""
+    here = os.getpid()
+    for chunk, items, seconds, pid, process in chunks:
+        runlog.emit_span(
+            "procpool.chunk",
+            seconds,
+            parent=parent_id,
+            status="ok",
+            attributes={"items": items, "chunk": chunk},
+            worker={
+                "kind": "main" if pid == here else "process",
+                "name": process,
+                "pid": pid,
+            },
+        )
 
 
 def _asn_lookup_many(asdb, queries: Sequence[Query]) -> List[Tuple]:

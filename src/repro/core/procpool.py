@@ -24,9 +24,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
-from typing import (
-    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar,
-)
+from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
 
 __all__ = ["map_chunked"]
 
@@ -43,58 +41,27 @@ def _init_worker(payload: Any) -> None:
     _PAYLOAD = payload
 
 
+def _timed_job(
+    job: Callable[[Any, Sequence[Item]], List[Result]],
+    payload: Any,
+    chunk: Sequence[Item],
+) -> Tuple[List[Result], float, int, str]:
+    """``job(payload, chunk)`` plus where and how long it ran."""
+    start = time.perf_counter()
+    results = job(payload, chunk)
+    return (
+        results,
+        time.perf_counter() - start,
+        os.getpid(),
+        multiprocessing.current_process().name,
+    )
+
+
 def _run_chunk(
     job: Callable[[Any, Sequence[Item]], List[Result]],
     chunk: Sequence[Item],
-) -> List[Result]:
-    return job(_PAYLOAD, chunk)
-
-
-def _chunk_span_record(
-    context: Mapping[str, object],
-    index: int,
-    duration: float,
-    n_items: int,
-    status: str,
-) -> Dict[str, object]:
-    """A ledger-shaped ``span`` record for one timed chunk.
-
-    Plain dicts, not :mod:`repro.obs` types: workers cannot reach the
-    parent's ledger (or this module's dependency-free contract), so they
-    describe their span in the ledger's wire format and let the parent
-    emit it verbatim (``RunLog.emit_span_record``).  ``caller_pid`` in
-    the context distinguishes a true pool worker from the in-process
-    fallback path.
-    """
-    pid = os.getpid()
-    in_worker = pid != context.get("caller_pid")
-    return {
-        "span_id": f"pp-{pid}-{index}",
-        "parent_id": context.get("parent_id"),
-        "name": "procpool.chunk",
-        "duration": duration,
-        "status": status,
-        "attributes": {"items": n_items, "chunk": index},
-        "worker": {
-            "kind": "process" if in_worker else "main",
-            "name": multiprocessing.current_process().name,
-            "pid": pid,
-        },
-    }
-
-
-def _run_chunk_spanned(
-    job: Callable[[Any, Sequence[Item]], List[Result]],
-    chunk: Sequence[Item],
-    index: int,
-    context: Mapping[str, object],
-) -> Tuple[List[Result], Dict[str, object]]:
-    start = time.perf_counter()
-    results = job(_PAYLOAD, chunk)
-    record = _chunk_span_record(
-        context, index, time.perf_counter() - start, len(chunk), "ok"
-    )
-    return results, record
+) -> Tuple[List[Result], float, int, str]:
+    return _timed_job(job, _PAYLOAD, chunk)
 
 
 def map_chunked(
@@ -103,8 +70,7 @@ def map_chunked(
     items: Sequence[Item],
     workers: int,
     chunk_size: Optional[int] = None,
-    span_context: Optional[Mapping[str, object]] = None,
-    span_sink: Optional[List[Dict[str, object]]] = None,
+    chunk_times: Optional[List[Tuple[int, int, float, int, str]]] = None,
 ) -> List[Result]:
     """Run ``job(payload, chunk)`` over ``items`` on a process pool.
 
@@ -113,66 +79,36 @@ def map_chunked(
     same code path as the workers, so results cannot depend on where
     they were computed.
 
-    When ``span_context`` (a picklable mapping, usually
-    ``RunLog.span_context(parent_id)``) is given, every chunk — pooled
-    or in-process — is timed worker-side and its ledger-shaped span
-    record is appended to ``span_sink``; the caller emits those records
-    into the run ledger, stitching process-pool work under the parent
-    run id.
+    Every chunk is clocked where it runs.  When ``chunk_times`` is a
+    list, one ``(chunk, items, seconds, pid, process name)`` tuple per
+    chunk is appended to it in chunk order, for the caller to account
+    (the batch engine writes each as a ledger span).
     """
     items = list(items)
     if not items:
         return []
-    spanned = span_context is not None and span_sink is not None
-    if spanned:
-        context: Dict[str, object] = dict(span_context)
-        context.setdefault("caller_pid", os.getpid())
     workers = max(1, min(int(workers), len(items)))
     if workers == 1:
-        if spanned:
-            results, record = _run_chunk_spanned_inline(
-                job, payload, items, context
-            )
-            span_sink.append(record)
-            return results
-        return list(job(payload, items))
-    if chunk_size is None:
-        chunk_size = -(-len(items) // workers)  # ceil division
-    chunks = [
-        items[start:start + chunk_size]
-        for start in range(0, len(items), chunk_size)
-    ]
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(chunks)),
-        initializer=_init_worker,
-        initargs=(payload,),
-    ) as pool:
-        merged: List[Result] = []
-        if spanned:
-            for part, record in pool.map(
-                _run_chunk_spanned,
-                repeat(job),
-                chunks,
-                range(len(chunks)),
-                repeat(context),
-            ):
-                merged.extend(part)
-                span_sink.append(record)
-        else:
-            for part in pool.map(_run_chunk, repeat(job), chunks):
-                merged.extend(part)
+        chunks = [items]
+        outcomes = [_timed_job(job, payload, items)]
+    else:
+        if chunk_size is None:
+            chunk_size = -(-len(items) // workers)  # ceil division
+        chunks = [
+            items[start:start + chunk_size]
+            for start in range(0, len(items), chunk_size)
+        ]
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(chunks)),
+            initializer=_init_worker,
+            initargs=(payload,),
+        ) as pool:
+            outcomes = list(pool.map(_run_chunk, repeat(job), chunks))
+    merged: List[Result] = []
+    for index, (chunk, (part, seconds, pid, process)) in enumerate(
+        zip(chunks, outcomes)
+    ):
+        merged.extend(part)
+        if chunk_times is not None:
+            chunk_times.append((index, len(chunk), seconds, pid, process))
     return merged
-
-
-def _run_chunk_spanned_inline(
-    job: Callable[[Any, Sequence[Item]], List[Result]],
-    payload: Any,
-    items: Sequence[Item],
-    context: Mapping[str, object],
-) -> Tuple[List[Result], Dict[str, object]]:
-    start = time.perf_counter()
-    results = list(job(payload, items))
-    record = _chunk_span_record(
-        context, 0, time.perf_counter() - start, len(items), "ok"
-    )
-    return results, record

@@ -282,8 +282,7 @@ class WebClassificationPipeline:
         self,
         raws: Sequence[RawScrape],
         process_workers: int = 0,
-        span_context=None,
-        span_sink=None,
+        chunk_times=None,
     ) -> List[Tuple[float, float]]:
         """Scores for non-empty raw scrapes, via the content cache.
 
@@ -317,7 +316,7 @@ class WebClassificationPipeline:
 
                 computed = map_chunked(
                     _score_chunk, self._scorer, translated, process_workers,
-                    span_context=span_context, span_sink=span_sink,
+                    chunk_times=chunk_times,
                 )
             else:
                 computed = self._scorer.score(translated)
@@ -350,8 +349,7 @@ class WebClassificationPipeline:
         self,
         domains: Sequence[str],
         process_workers: int = 0,
-        span_context=None,
-        span_sink=None,
+        chunk_times=None,
     ) -> List[ClassifierVerdict]:
         """Batch :meth:`classify_domain`: one raw-scrape pass, one
         content-cache probe, then one translate + vectorizer + TF-IDF +
@@ -363,7 +361,10 @@ class WebClassificationPipeline:
         scores for a text do not depend on what else is in the batch —
         or, with ``process_workers > 1``, on which process scored it.
         Verdict-outcome counters tick per domain as in the scalar path;
-        latency lands in ``asdb_ml_batch_seconds``.
+        latency lands in ``asdb_ml_batch_seconds``.  A ``chunk_times``
+        list collects the process pool's per-chunk timing tuples (see
+        :func:`repro.core.procpool.map_chunked`); it stays empty when
+        scoring ran in-process.
         """
         if not self._fitted:
             raise RuntimeError("pipeline is not fitted")
@@ -385,8 +386,7 @@ class WebClassificationPipeline:
             scores = self._scores_for_raw(
                 pending,
                 process_workers=process_workers,
-                span_context=span_context,
-                span_sink=span_sink,
+                chunk_times=chunk_times,
             )
             for index, (isp_score, hosting_score) in zip(positions, scores):
                 verdicts[index] = self._verdict(

@@ -36,7 +36,7 @@ from .trace import (
     TraceBuilder,
     trace_builder,
 )
-from .instrument import InstrumentedSource, instrument_source, timed
+from .instrument import InstrumentedSource, instrument_source
 from .narrate import (
     aggregate_spans,
     format_seconds,
@@ -47,8 +47,6 @@ from .narrate import (
 from .runlog import (
     LEDGER_SCHEMA,
     NULL_RUNLOG,
-    NullRunLog,
-    ResourceSampler,
     RunLog,
     config_digest,
     read_ledger,
@@ -83,7 +81,6 @@ __all__ = [
     "trace_builder",
     "InstrumentedSource",
     "instrument_source",
-    "timed",
     "format_seconds",
     "narrate_trace",
     "narrate_sweep",
@@ -91,9 +88,7 @@ __all__ = [
     "aggregate_spans",
     "LEDGER_SCHEMA",
     "RunLog",
-    "NullRunLog",
     "NULL_RUNLOG",
-    "ResourceSampler",
     "config_digest",
     "read_ledger",
     "read_rss_kb",

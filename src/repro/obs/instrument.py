@@ -5,9 +5,6 @@
 ``asdb_source_lookup_seconds{source}`` latency observation — without the
 source (or its callers) knowing a registry exists.
 
-:func:`timed` is the generic timing helper the rest of the pipeline
-uses; with a null-registry histogram it degrades to a bare call.
-
 The wrapper duck-types the ``DataSource`` contract (``name``,
 ``lookup``, ``lookup_by_org``, ``coverage_count``) rather than
 importing it: ``repro.obs`` stays a leaf package every layer can
@@ -17,27 +14,16 @@ depend on without cycles.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
 from .metrics import MetricsRegistry, NULL_REGISTRY, NullRegistry
 
-__all__ = ["InstrumentedSource", "instrument_source", "timed"]
+__all__ = ["InstrumentedSource", "instrument_source"]
 
 #: Metric family names the wrapper emits (shared with tests and docs).
 SOURCE_LOOKUPS_TOTAL = "asdb_source_lookups_total"
 SOURCE_LOOKUP_SECONDS = "asdb_source_lookup_seconds"
 SOURCE_BATCH_SECONDS = "asdb_source_batch_seconds"
-
-
-@contextmanager
-def timed(histogram, **labels: object) -> Iterator[None]:
-    """Observe the wall time of the wrapped block into ``histogram``."""
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        histogram.observe(time.perf_counter() - start, **labels)
 
 
 class InstrumentedSource:

@@ -44,16 +44,19 @@ version), ``serve.queue`` (each background drain of the on-demand
 classification queue), ``serve.rebuild`` spans around index
 materialization, and ``serve.stop``.
 
-Span identity crosses executors as a plain picklable mapping
-(:meth:`RunLog.span_context`); process-pool workers time their chunk
-against it and the parent emits the returned record verbatim
-(:func:`repro.core.procpool.map_chunked`).  Thread-pool workers write
-through the (lock-protected) ledger directly.
+:meth:`RunLog.emit_span` is the only writer of ``span`` events, and
+every span id comes from the ledger's one counter.  Context-managed
+spans (:meth:`RunLog.span`, the in-flight span of
+:mod:`repro.obs.trace`) end through it; thread-pool workers call it
+directly (the ledger is lock-protected); process-pool chunks come back
+from :func:`repro.core.procpool.map_chunked` as plain timing tuples and
+the parent writes each one through it.
 
 Like every ``repro.obs`` facility the ledger is opt-in and inert by
-default: :data:`NULL_RUNLOG` accepts the full API and records nothing,
-so a run without ``--runlog`` is byte-identical to one before this
-module existed.
+default: :data:`NULL_RUNLOG` is a ``RunLog`` with no path, which opens
+no file, starts no thread and returns from every call before taking its
+lock, so a run without ``--runlog`` is byte-identical to one before
+this module existed.
 """
 
 from __future__ import annotations
@@ -65,15 +68,15 @@ import threading
 import time
 from typing import Callable, Dict, IO, List, Mapping, Optional
 
+from .trace import NULL_SPAN, _SpanRecorder
+
 __all__ = [
     "LEDGER_SCHEMA",
     "RunLog",
-    "NullRunLog",
     "NULL_RUNLOG",
     "config_digest",
     "read_ledger",
     "read_rss_kb",
-    "ResourceSampler",
 ]
 
 LEDGER_SCHEMA = "asdb-repro/runlog/1"
@@ -123,57 +126,13 @@ def read_rss_kb() -> Dict[str, Optional[int]]:
     return {"rss_kb": rss, "hwm_kb": hwm}
 
 
-class _RunSpan:
-    """In-flight ledger span; emits a ``span`` event on exit."""
-
-    __slots__ = (
-        "_log", "span_id", "parent_id", "name", "status",
-        "attributes", "_start",
-    )
-
-    def __init__(
-        self, log: "RunLog", span_id: str, parent_id: Optional[str],
-        name: str,
-    ) -> None:
-        self._log = log
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.status = ""
-        self.attributes: Dict[str, object] = {}
-
-    def set_status(self, status: str) -> "_RunSpan":
-        self.status = status
-        return self
-
-    def note(self, **attributes: object) -> "_RunSpan":
-        self.attributes.update(attributes)
-        return self
-
-    def __enter__(self) -> "_RunSpan":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc is not None and not self.status:
-            self.status = f"error: {type(exc).__name__}"
-        self._log.emit(
-            "span",
-            span_id=self.span_id,
-            parent_id=self.parent_id,
-            name=self.name,
-            duration=time.perf_counter() - self._start,
-            status=self.status,
-            attributes=self.attributes,
-            worker=self._log.worker_stanza(),
-        )
-
-
 class RunLog:
     """A structured, append-only event ledger for one run.
 
     Args:
         path: Ledger file to (over)write, NDJSON, one event per line.
+            None makes a disabled ledger (:data:`NULL_RUNLOG`) that
+            accepts the full API and records nothing.
         kind: Run kind recorded in ``run.start`` (``classify``,
             ``sweep``, ``refresh``, ``snapshot``, ...).
         config: JSON-able run configuration; digested into
@@ -188,20 +147,17 @@ class RunLog:
 
     def __init__(
         self,
-        path: str,
+        path: Optional[str] = None,
         kind: str = "run",
         config: Optional[Mapping[str, object]] = None,
         world: Optional[Mapping[str, object]] = None,
     ) -> None:
         self.path = path
         self.kind = kind
-        config = dict(config or {})
-        world = dict(world or {})
-        self.run_id = hashlib.blake2b(
-            f"{kind}|{config_digest(config)}|{config_digest(world)}"
-            f"|{os.getpid()}|{time.time_ns()}".encode(),
-            digest_size=6,
-        ).hexdigest()
+        #: False for the disabled ledger; instrumented code may skip
+        #: work that only feeds the ledger.
+        self.enabled = path is not None
+        self.run_id = ""
         self._origin = time.perf_counter()
         self._cpu_origin = time.process_time()
         self._lock = threading.Lock()
@@ -210,6 +166,15 @@ class RunLog:
         self._closed = False
         self._sampler_thread: Optional[threading.Thread] = None
         self._sampler_stop = threading.Event()
+        if not self.enabled:
+            return
+        config = dict(config or {})
+        world = dict(world or {})
+        self.run_id = hashlib.blake2b(
+            f"{kind}|{config_digest(config)}|{config_digest(world)}"
+            f"|{os.getpid()}|{time.time_ns()}".encode(),
+            digest_size=6,
+        ).hexdigest()
         self._handle: IO[str] = open(path, "w")
         self.emit(
             "run.start",
@@ -224,11 +189,6 @@ class RunLog:
 
     # -- emission -----------------------------------------------------------
 
-    @property
-    def enabled(self) -> bool:
-        """Real ledgers record; the null ledger reports False."""
-        return True
-
     def elapsed(self) -> float:
         """Wall seconds since the run started."""
         return time.perf_counter() - self._origin
@@ -240,7 +200,10 @@ class RunLog:
         return {"kind": kind, "name": thread.name, "pid": os.getpid()}
 
     def emit(self, event: str, **fields: object) -> None:
-        """Append one event line (no-op after :meth:`close`)."""
+        """Append one event line (no-op when disabled or after
+        :meth:`close`)."""
+        if not self.enabled:
+            return
         with self._lock:
             if self._closed:
                 return
@@ -257,29 +220,64 @@ class RunLog:
             )
             self._handle.flush()
 
-    def emit_span_record(self, record: Mapping[str, object]) -> None:
-        """Emit a worker-produced span record (e.g. from a process-pool
-        chunk) verbatim under the ``span`` event type."""
-        self.emit("span", **dict(record))
-
-    def span(
-        self, name: str, parent: Optional[str] = None
-    ) -> _RunSpan:
-        """``with runlog.span("classify") as span: ...`` — emits a
-        ``span`` event on exit; ``span.span_id`` parents children."""
+    def _next_span_id(self) -> str:
         with self._lock:
             self._span_counter += 1
-            span_id = f"s{self._span_counter:04d}"
-        return _RunSpan(self, span_id, parent, name)
+            return f"s{self._span_counter:04d}"
 
-    def span_context(self, parent: Optional[str]) -> Dict[str, object]:
-        """A picklable span context for cross-process propagation.
+    def emit_span(
+        self,
+        name: str,
+        duration: float,
+        parent: Optional[str] = None,
+        status: str = "",
+        attributes: Optional[Mapping[str, object]] = None,
+        worker: Optional[Mapping[str, object]] = None,
+        span_id: Optional[str] = None,
+    ) -> None:
+        """Write one completed ``span`` event — the ledger's only span
+        writer.
 
-        Process-pool workers cannot reach this ledger; they time their
-        work against this mapping and return span records the parent
-        emits with :meth:`emit_span_record`.
+        The id comes from the ledger's counter unless ``span_id``
+        carries one already drawn from it (a context-managed span, whose
+        children needed its id before it finished).  ``worker`` defaults
+        to the calling thread's stanza; the batch engine passes a
+        process-pool chunk's own.
         """
-        return {"run": self.run_id, "parent_id": parent}
+        if not self.enabled:
+            return
+        self.emit(
+            "span",
+            span_id=span_id or self._next_span_id(),
+            parent_id=parent,
+            name=name,
+            duration=duration,
+            status=status,
+            attributes=attributes or {},
+            worker=worker or self.worker_stanza(),
+        )
+
+    def span(self, name: str, parent: Optional[str] = None):
+        """``with runlog.span("classify") as span: ...`` — writes a
+        ``span`` event on exit; ``span.span_id`` parents children.  An
+        exception leaving the block sets status ``error: <Type>``
+        unless the block set one."""
+        if not self.enabled:
+            return NULL_SPAN
+        return _SpanRecorder(
+            self._end_span, name, self._next_span_id(), parent
+        )
+
+    def _end_span(
+        self, span: _SpanRecorder, start: float, end: float, exc
+    ) -> None:
+        if exc is not None and not span.status:
+            span.status = f"error: {type(exc).__name__}"
+        self.emit_span(
+            span.name, end - start, parent=span.parent_id,
+            status=span.status, attributes=span.attributes,
+            span_id=span.span_id,
+        )
 
     # -- resource sampling --------------------------------------------------
 
@@ -297,6 +295,8 @@ class RunLog:
         JSON-able mapping; a provider that raises is recorded as an
         error string rather than killing the run.
         """
+        if not self.enabled:
+            return
         sample: Dict[str, object] = dict(read_rss_kb())
         sample["cpu_seconds"] = round(
             time.process_time() - self._cpu_origin, 6
@@ -320,7 +320,7 @@ class RunLog:
     ) -> None:
         """Start a daemon thread emitting ``resource.sample`` events
         every ``interval_seconds`` until :meth:`stop_sampling`/close."""
-        if self._sampler_thread is not None:
+        if not self.enabled or self._sampler_thread is not None:
             return
         self._sampler_stop.clear()
 
@@ -357,6 +357,8 @@ class RunLog:
         Extra keyword stanzas (``degraded``, ``breakers``, ...) are
         recorded verbatim.
         """
+        if not self.enabled:
+            return
         self.stop_sampling()
         fields: Dict[str, object] = {
             "status": status,
@@ -370,6 +372,8 @@ class RunLog:
 
     def close(self) -> None:
         """Flush and close the file; later emissions are dropped."""
+        if not self.enabled:
+            return
         self.stop_sampling()
         with self._lock:
             if self._closed:
@@ -388,109 +392,8 @@ class RunLog:
             )
 
 
-class _NullRunSpan:
-    __slots__ = ()
-
-    span_id = None
-    parent_id = None
-    name = ""
-    status = ""
-
-    def set_status(self, status: str) -> "_NullRunSpan":
-        return self
-
-    def note(self, **attributes: object) -> "_NullRunSpan":
-        return self
-
-    def __enter__(self) -> "_NullRunSpan":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NULL_RUN_SPAN = _NullRunSpan()
-
-
-class NullRunLog:
-    """Accepts the full :class:`RunLog` API and records nothing.
-
-    Instrumented code never checks whether a ledger is configured; the
-    shared :data:`NULL_RUNLOG` keeps the default path allocation-free
-    and byte-identical to an un-instrumented run.
-    """
-
-    __slots__ = ()
-
-    run_id = ""
-    path = None
-    kind = ""
-
-    @property
-    def enabled(self) -> bool:
-        return False
-
-    def elapsed(self) -> float:
-        return 0.0
-
-    def worker_stanza(self) -> Dict[str, object]:
-        return {}
-
-    def emit(self, event: str, **fields: object) -> None:
-        return None
-
-    def emit_span_record(self, record: Mapping[str, object]) -> None:
-        return None
-
-    def span(self, name: str, parent=None) -> _NullRunSpan:
-        return _NULL_RUN_SPAN
-
-    def span_context(self, parent=None) -> None:
-        return None
-
-    def sample_resources(self, providers=None, phase: str = "") -> None:
-        return None
-
-    def start_sampling(self, interval_seconds, providers=None) -> None:
-        return None
-
-    def stop_sampling(self) -> None:
-        return None
-
-    def finish(self, status: str = "ok", metrics=None, **summary) -> None:
-        return None
-
-    def close(self) -> None:
-        return None
-
-    def __enter__(self) -> "NullRunLog":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-NULL_RUNLOG = NullRunLog()
-
-
-class ResourceSampler:
-    """Standalone resource sampling over any emit-shaped sink.
-
-    :class:`RunLog` embeds the same logic; this class exists for code
-    that wants samples without a ledger (tests, the future serving
-    layer's status endpoint).
-    """
-
-    def __init__(self) -> None:
-        self._origin = time.perf_counter()
-        self._cpu_origin = time.process_time()
-
-    def sample(self) -> Dict[str, object]:
-        """One point-in-time resource sample (never raises)."""
-        out: Dict[str, object] = dict(read_rss_kb())
-        out["cpu_seconds"] = time.process_time() - self._cpu_origin
-        out["wall_seconds"] = time.perf_counter() - self._origin
-        return out
+#: The shared disabled ledger every instrumented component defaults to.
+NULL_RUNLOG = RunLog()
 
 
 def read_ledger(path: str) -> List[Dict[str, object]]:

@@ -7,6 +7,12 @@ result into a :class:`ClassificationTrace` that travels on the
 (``hit``/``miss``/``matched``/...), and free-form attributes (the chosen
 domain, per-source match/reject reasons, the consensus decision).
 
+The in-flight span here is the package's one span primitive: it times a
+``with`` block and on exit hands itself to a sink — a
+:class:`TraceBuilder` (per-AS traces, which also feed ``--profile``) or
+a :class:`~repro.obs.runlog.RunLog` (the run ledger).  Every disabled
+``span()`` call returns the shared :data:`NULL_SPAN`.
+
 The module deliberately imports nothing from the rest of ``repro`` —
 spans store plain strings and scalars — so any layer can depend on it.
 A :class:`NullTraceBuilder` keeps the untraced hot path allocation-free.
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "Span",
@@ -24,6 +30,7 @@ __all__ = [
     "TraceBuilder",
     "NullTraceBuilder",
     "trace_builder",
+    "NULL_SPAN",
 ]
 
 
@@ -112,12 +119,30 @@ class ClassificationTrace:
 
 
 class _SpanRecorder:
-    """Mutable in-flight span; frozen into a :class:`Span` on exit."""
+    """Mutable in-flight span.
 
-    __slots__ = ("_builder", "name", "status", "attributes", "_start")
+    On exit it calls ``sink(span, start, end, exc)`` with its
+    ``perf_counter`` bounds and the exception that ended the block (None
+    on a normal exit); the sink decides what the finished span becomes.
+    ``span_id``/``parent_id`` are the ledger's causal links (None in a
+    per-AS trace).
+    """
 
-    def __init__(self, builder: "TraceBuilder", name: str) -> None:
-        self._builder = builder
+    __slots__ = (
+        "_sink", "span_id", "parent_id", "name", "status", "attributes",
+        "_start",
+    )
+
+    def __init__(
+        self,
+        sink: Callable[..., None],
+        name: str,
+        span_id: Optional[str] = None,
+        parent_id: Optional[str] = None,
+    ) -> None:
+        self._sink = sink
+        self.span_id = span_id
+        self.parent_id = parent_id
         self.name = name
         self.status = ""
         self.attributes: Dict[str, object] = {}
@@ -134,17 +159,35 @@ class _SpanRecorder:
         self._start = time.perf_counter()
         return self
 
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._sink(self, self._start, time.perf_counter(), exc)
+
+
+class _NullSpan:
+    """What every disabled ``span()`` returns: accepts the in-flight
+    span API and records nothing."""
+
+    __slots__ = ()
+
+    span_id = None
+    parent_id = None
+    name = ""
+    status = ""
+
+    def set_status(self, status: str) -> "_NullSpan":
+        return self
+
+    def note(self, **attributes: object) -> "_NullSpan":
+        return self
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
     def __exit__(self, *exc_info: object) -> None:
-        end = time.perf_counter()
-        self._builder._record(
-            Span(
-                name=self.name,
-                start_offset=self._start - self._builder._origin,
-                duration=end - self._start,
-                status=self.status,
-                attributes=self.attributes,
-            )
-        )
+        return None
+
+
+NULL_SPAN = _NullSpan()
 
 
 class TraceBuilder:
@@ -160,8 +203,12 @@ class TraceBuilder:
         self._tags: Dict[str, object] = dict(tags) if tags else {}
 
     def span(self, name: str) -> _SpanRecorder:
-        """``with builder.span("ml") as span: ...`` records one stage."""
-        return _SpanRecorder(self, name)
+        """``with builder.span("ml") as span: ...`` records one stage.
+
+        An exception leaving the block does not change the span's
+        status: aborts are recorded once, on the trace (:meth:`fail`).
+        """
+        return _SpanRecorder(self._record, name)
 
     def tag(self, **tags: object) -> "TraceBuilder":
         """Stamp provenance tags onto the finished trace."""
@@ -173,8 +220,18 @@ class TraceBuilder:
         if self._error is None:
             self._error = message
 
-    def _record(self, span: Span) -> None:
-        self._spans.append(span)
+    def _record(
+        self, span: _SpanRecorder, start: float, end: float, exc
+    ) -> None:
+        self._spans.append(
+            Span(
+                name=span.name,
+                start_offset=start - self._origin,
+                duration=end - start,
+                status=span.status,
+                attributes=span.attributes,
+            )
+        )
 
     def finish(self) -> ClassificationTrace:
         """Freeze the collected spans into a trace."""
@@ -187,28 +244,6 @@ class TraceBuilder:
         )
 
 
-class _NullSpanRecorder:
-    __slots__ = ()
-
-    name = ""
-    status = ""
-
-    def set_status(self, status: str) -> "_NullSpanRecorder":
-        return self
-
-    def note(self, **attributes: object) -> "_NullSpanRecorder":
-        return self
-
-    def __enter__(self) -> "_NullSpanRecorder":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpanRecorder()
-
-
 class NullTraceBuilder:
     """Accepts the full builder API and records nothing."""
 
@@ -216,8 +251,8 @@ class NullTraceBuilder:
 
     asn = -1
 
-    def span(self, name: str) -> _NullSpanRecorder:
-        return _NULL_SPAN
+    def span(self, name: str) -> _NullSpan:
+        return NULL_SPAN
 
     def tag(self, **tags: object) -> "NullTraceBuilder":
         return self

@@ -63,14 +63,16 @@ Observability: requests meter ``asdb_serve_requests_total`` /
 ``asdb_serve_swaps_total``, the history build meters
 ``asdb_serve_history_versions`` / ``asdb_serve_history_asns``; with a
 run ledger attached the service emits ``serve.start`` / ``serve.swap``
-/ ``serve.history_swap`` / ``serve.queue`` / ``serve.stop`` events
-(see :mod:`repro.obs.runlog`).
+/ ``serve.history_swap`` / ``serve.queue`` / ``serve.error`` /
+``serve.stop`` events (see :mod:`repro.obs.runlog`).  A request whose
+handler raises answers ``500`` with ``Connection: close``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, unquote
@@ -87,6 +89,8 @@ from .queue import (
 
 __all__ = ["ServingApp", "Response"]
 
+_log = logging.getLogger(__name__)
+
 #: (status, JSON-able body or raw text, extra headers)
 Response = Tuple[int, object, Dict[str, str]]
 
@@ -98,6 +102,7 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Content Too Large",
+    500: "Internal Server Error",
     503: "Service Unavailable",
 }
 
@@ -397,7 +402,9 @@ class ServingApp:
         """Route one request, consulting the per-generation response
         cache; returns ``(status, body, headers, payload)`` where
         ``payload`` is the pre-rendered body bytes when the response
-        came from (or just entered) the cache, else None.
+        came from (or just entered) the cache, else None.  A handler
+        that raises answers 500 and leaves a ``serve.error`` ledger
+        event.
         """
         method = method.upper()
         path, _, query_string = target.partition("?")
@@ -407,6 +414,14 @@ class ServingApp:
             result = self._routed(
                 method, target, path, query_string,
                 request_headers or {},
+            )
+        except Exception as exc:  # noqa: BLE001 - answer, never drop
+            _log.exception("%s %s failed", method, path)
+            self.runlog.emit(
+                "serve.error", endpoint=endpoint, error=repr(exc)
+            )
+            result = (
+                500, {"error": f"{type(exc).__name__}: {exc}"}, {}, None
             )
         finally:
             elapsed = time.perf_counter() - start
@@ -801,13 +816,16 @@ class ServingApp:
                         await writer.drain()
                         break
                     await reader.readexactly(int(length))
-                connection = header_map.get("connection", "").lower()
-                keep_alive = (
-                    connection != "close"
-                    and http_version.strip() != "HTTP/1.0"
-                )
                 status, body, extra, payload = self._respond(
                     method.upper(), target, header_map
+                )
+                # A 500 closes: the failed handler may have left state
+                # the next request on this connection should not meet.
+                connection = header_map.get("connection", "").lower()
+                keep_alive = (
+                    status != 500
+                    and connection != "close"
+                    and http_version.strip() != "HTTP/1.0"
                 )
                 headers = dict(extra)
                 headers["Connection"] = (

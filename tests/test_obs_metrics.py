@@ -15,7 +15,6 @@ from repro.obs import (
     NULL_REGISTRY,
     NullRegistry,
     instrument_source,
-    timed,
 )
 from repro.taxonomy import LabelSet
 
@@ -294,15 +293,17 @@ class TestInstrumentedSource:
 
 
 class TestTimedHelper:
+    """``Histogram.time()``, the one block timer."""
+
     def test_observes_even_on_exception(self):
         histogram = Histogram("latency_seconds")
         with pytest.raises(RuntimeError):
-            with timed(histogram):
+            with histogram.time():
                 raise RuntimeError("boom")
         assert histogram.count() == 1
 
     def test_labels_forwarded(self):
         histogram = Histogram("latency_seconds", labelnames=("op",))
-        with timed(histogram, op="scrape"):
+        with histogram.time(op="scrape"):
             pass
         assert histogram.count(op="scrape") == 1

@@ -2,22 +2,26 @@
 the pipeline, both pool executors, and the CLI."""
 
 import json
+import os
+import threading
+from collections import defaultdict
 
 import pytest
 
 from repro import SystemConfig, WorldConfig, build_asdb, generate_world
 from repro.cli import main
+from repro.core.parallel import _write_chunk_spans
 from repro.core.procpool import map_chunked
 from repro.obs import (
     LEDGER_SCHEMA,
     NULL_RUNLOG,
     MetricsRegistry,
-    NullRunLog,
     RunLog,
     config_digest,
     read_ledger,
     read_rss_kb,
 )
+from repro.obs.trace import NULL_SPAN, NullTraceBuilder, TraceBuilder
 
 
 def _events(path, kind=None):
@@ -134,23 +138,58 @@ class TestRunLogCore:
         assert sample["rss_kb"] is None or sample["rss_kb"] > 0
 
 
-class TestNullRunLog:
-    def test_full_api_is_inert(self, tmp_path):
-        null = NullRunLog()
-        assert not null.enabled
-        assert null.span_context("x") is None
-        null.emit("anything", field=1)
-        null.emit_span_record({"span_id": "x"})
-        with null.span("noop") as span:
+class TestOneSpanPrimitive:
+    def test_trace_and_ledger_share_the_in_flight_span(self, tmp_path):
+        log = RunLog(str(tmp_path / "run.ndjson"))
+        assert type(TraceBuilder(1).span("ml")) is type(log.span("ml"))
+        assert NullTraceBuilder().span("ml") is NULL_SPAN
+        assert RunLog().span("ml") is NULL_SPAN
+        log.close()
+
+    def test_trace_span_that_raises_keeps_its_status(self):
+        builder = TraceBuilder(7)
+        with pytest.raises(RuntimeError):
+            with builder.span("ml") as span:
+                span.set_status("scraped")
+                raise RuntimeError("nope")
+        with pytest.raises(RuntimeError):
+            with builder.span("consensus"):
+                raise RuntimeError("nope")
+        trace = builder.finish()
+        assert [(s.name, s.status) for s in trace.spans] == [
+            ("ml", "scraped"), ("consensus", ""),
+        ]
+        assert trace.error is None
+
+
+class TestDisabledRunLog:
+    def test_full_api_is_inert(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        threads = threading.active_count()
+        log = RunLog()
+        assert not log.enabled
+        assert log.run_id == ""
+        log.emit("anything", field=1)
+        log.emit_span("noop", 0.1, attributes={"k": 1})
+        with log as entered, log.span("noop") as span:
+            assert entered is log
+            assert span is NULL_SPAN
+            assert span.span_id is None
             span.set_status("ok").note(k=1)
-        null.sample_resources({"c": lambda: {}}, phase="p")
-        null.start_sampling(0.01)
-        null.stop_sampling()
-        null.finish(status="ok")
+        log.sample_resources({"c": lambda: {}}, phase="p")
+        log.start_sampling(0.01)
+        assert threading.active_count() == threads
+        log.stop_sampling()
+        log.finish(status="ok", metrics=MetricsRegistry())
+        log.close()
         assert list(tmp_path.iterdir()) == []
+        # Nothing was counted: every call returned before the lock.
+        assert (log._seq, log._span_counter) == (0, 0)
 
     def test_shared_instance_exists(self):
-        assert isinstance(NULL_RUNLOG, NullRunLog)
+        assert isinstance(NULL_RUNLOG, RunLog)
+        assert NULL_RUNLOG.path is None
+        assert not NULL_RUNLOG.enabled
 
 
 def _double(payload, chunk):
@@ -158,44 +197,66 @@ def _double(payload, chunk):
 
 
 class TestProcessPoolSpans:
+    """Chunk timings come back from ``map_chunked`` as plain tuples;
+    the batch engine's ``_write_chunk_spans`` writes each one through
+    ``RunLog.emit_span``."""
+
     def test_chunk_spans_return_through_sink(self, tmp_path):
         log = RunLog(str(tmp_path / "run.ndjson"))
-        sink = []
+        chunks = []
         results = map_chunked(
             _double, None, list(range(20)), workers=2, chunk_size=5,
-            span_context=log.span_context("parent01"), span_sink=sink,
+            chunk_times=chunks,
         )
-        for record in sink:
-            log.emit_span_record(record)
+        with log.span("batch.ml") as parent:
+            _write_chunk_spans(log, parent.span_id, chunks)
         log.finish()
         assert results == [value * 2 for value in range(20)]
-        assert len(sink) == 4
+        assert [chunk[:2] for chunk in chunks] == [
+            (0, 5), (1, 5), (2, 5), (3, 5)
+        ]
         spans = _events(tmp_path / "run.ndjson", "span")
-        assert {span["parent_id"] for span in spans} == {"parent01"}
-        assert {span["name"] for span in spans} == {"procpool.chunk"}
-        assert {span["worker"]["kind"] for span in spans} == {"process"}
+        (ml,) = [span for span in spans if span["name"] == "batch.ml"]
+        chunk_spans = [span for span in spans if span is not ml]
+        assert len(chunk_spans) == 4
+        assert {span["parent_id"] for span in chunk_spans} == {
+            ml["span_id"]
+        }
+        assert {span["name"] for span in chunk_spans} == {"procpool.chunk"}
+        assert {span["worker"]["kind"] for span in chunk_spans} == {
+            "process"
+        }
+        assert os.getpid() not in {
+            span["worker"]["pid"] for span in chunk_spans
+        }
         assert sum(
-            span["attributes"]["items"] for span in spans
+            span["attributes"]["items"] for span in chunk_spans
         ) == 20
+        assert len({span["span_id"] for span in spans}) == len(spans)
 
     def test_inline_fallback_marks_main_worker(self, tmp_path):
         log = RunLog(str(tmp_path / "run.ndjson"))
-        sink = []
-        map_chunked(
-            _double, None, [1, 2, 3], workers=1,
-            span_context=log.span_context(None), span_sink=sink,
-        )
-        assert sink and all(
-            record["worker"]["kind"] == "main" for record in sink
-        )
+        chunks = []
+        map_chunked(_double, None, [1, 2, 3], workers=1, chunk_times=chunks)
+        _write_chunk_spans(log, None, chunks)
+        log.finish()
+        spans = _events(tmp_path / "run.ndjson", "span")
+        assert [span["attributes"] for span in spans] == [
+            {"items": 3, "chunk": 0}
+        ]
+        assert spans[0]["worker"]["kind"] == "main"
 
-    def test_no_context_produces_no_spans(self):
-        sink = []
+    def test_no_ledger_produces_no_spans(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        chunks = []
         results = map_chunked(
-            _double, None, [1, 2, 3], workers=2, span_sink=sink
+            _double, None, [1, 2, 3], workers=2, chunk_times=chunks
         )
         assert results == [2, 4, 6]
-        assert sink == []
+        assert len(chunks) == 2
+        _write_chunk_spans(NULL_RUNLOG, None, chunks)
+        assert NULL_RUNLOG._span_counter == 0
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPipelineLedger:
@@ -247,6 +308,36 @@ class TestPipelineLedger:
             record.asn for record in dataset
         }
         assert all(event["spans"] for event in traced)
+
+
+class TestProcessExecutorLedger:
+    def test_chunk_spans_nest_under_batch_ml(self, tmp_path, small_world):
+        def classify(executor, runlog=None):
+            built = build_asdb(
+                small_world,
+                SystemConfig(
+                    seed=5, workers=2, executor=executor, runlog=runlog
+                ),
+            )
+            return list(built.asdb.classify_all())
+
+        path = tmp_path / "proc.ndjson"
+        runlog = RunLog(str(path), kind="classify")
+        records = classify("process", runlog)
+        runlog.finish()
+
+        spans = _events(path, "span")
+        by_id = {span["span_id"]: span for span in spans}
+        chunks = [span for span in spans if span["name"] == "procpool.chunk"]
+        assert chunks
+        items = defaultdict(int)
+        for chunk in chunks:
+            assert by_id[chunk["parent_id"]]["name"] == "batch.ml"
+            assert chunk["worker"]["kind"] == "process"
+            items[chunk["parent_id"]] += chunk["attributes"]["items"]
+        for parent_id, total in items.items():
+            assert total <= by_id[parent_id]["attributes"]["domains"]
+        assert records == classify("thread")
 
 
 class TestCliLedger:

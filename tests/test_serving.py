@@ -606,6 +606,63 @@ class TestContentLengthFraming:
         assert received.count(b"HTTP/1.1 200 OK") == 2
 
 
+class TestHandlerErrors:
+    """A handler that raises answers 500; the connection then closes."""
+
+    @staticmethod
+    def _failing_app(dataset, **kwargs):
+        def rebuild(generation):
+            raise RuntimeError("rebuild exploded")
+
+        return ServingApp(
+            index_from_store(dataset), rebuild=rebuild, **kwargs
+        )
+
+    def test_raising_handler_answers_500_and_closes(self, classified):
+        _, _, dataset = classified
+        with _HttpService(self._failing_app(dataset)) as service:
+            received = _raw_exchange(
+                service.address,
+                b"POST /refresh HTTP/1.1\r\nHost: x\r\n\r\n"
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+            )
+        head, _, body = received.partition(b"\r\n\r\n")
+        lines = head.decode().split("\r\n")
+        assert lines[0] == "HTTP/1.1 500 Internal Server Error"
+        assert "Connection: close" in lines
+        # The pipelined second request is never answered.
+        assert json.loads(body) == {"error": "RuntimeError: rebuild exploded"}
+
+    def test_handle_request_counts_and_logs_the_500(
+        self, classified, tmp_path
+    ):
+        _, _, dataset = classified
+        registry = MetricsRegistry()
+        ledger = tmp_path / "serve.ndjson"
+        runlog = RunLog(str(ledger), kind="serve")
+        app = self._failing_app(dataset, metrics=registry, runlog=runlog)
+        old_index = app.index
+        status, body, _ = app.handle_request("POST", "/refresh")
+        assert (status, body) == (
+            500, {"error": "RuntimeError: rebuild exploded"}
+        )
+        assert registry.get("asdb_serve_requests_total").value(
+            endpoint="refresh", status="500"
+        ) == 1
+        # A direct call still raises; the old index keeps serving.
+        with pytest.raises(RuntimeError, match="rebuild exploded"):
+            app.refresh()
+        assert app.index is old_index
+        assert app.handle_request("GET", "/healthz")[0] == 200
+        runlog.close()
+        (error,) = [
+            event for event in read_ledger(str(ledger))
+            if event["event"] == "serve.error"
+        ]
+        assert error["endpoint"] == "refresh"
+        assert error["error"] == repr(RuntimeError("rebuild exploded"))
+
+
 class TestSnapshotServing:
     def _store(self, tmp_path, records):
         store = SnapshotStore(str(tmp_path / "releases"))
