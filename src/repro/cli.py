@@ -486,21 +486,39 @@ def _add_obs_flags(subparser: argparse.ArgumentParser) -> None:
     )
 
 
+#: Arguments that only say where output goes: two runs that differ in
+#: them alone did the same work.
+_DESTINATIONS = {"out", "metrics_out", "profile_out", "ready_file", "runlog"}
+
+
 def _open_runlog(args: argparse.Namespace, kind: str, world: dict):
     """A real ledger when ``--runlog`` was passed, else the null one.
 
-    The run's config stanza is the parsed CLI arguments (minus the
-    ledger path itself — two otherwise-identical runs logging to
-    different files should share a config digest).
+    The run's config stanza is the parsed CLI arguments minus the
+    output destinations (``--out``, ``--metrics-out``, ``--profile-out``,
+    ``--ready-file`` and the ledger path itself): two otherwise
+    identical runs writing to different files share a config digest.
     """
     path = getattr(args, "runlog", None)
     if not path:
         return NULL_RUNLOG
     config = {
         key: value for key, value in sorted(vars(args).items())
-        if key != "runlog"
+        if key not in _DESTINATIONS
     }
     return RunLog(path, kind=kind, config=config, world=world)
+
+
+def _open_releases(path: str) -> Optional[SnapshotStore]:
+    """The snapshot store at ``path``, or None after one error naming
+    the path when it holds no versions (it may not exist at all:
+    opening a store creates nothing)."""
+    store = SnapshotStore(path)
+    if not len(store):
+        print(f"error: {path} holds no snapshot versions; create them "
+              f"with `repro snapshot`", file=sys.stderr)
+        return None
+    return store
 
 
 def _resource_providers(built, registry: MetricsRegistry):
@@ -889,10 +907,8 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
 
 
 def _cmd_refresh(args: argparse.Namespace) -> int:
-    probe = SnapshotStore(args.store)
-    if not len(probe):
-        print(f"error: {args.store} holds no versions; run "
-              f"`repro snapshot` first", file=sys.stderr)
+    probe = _open_releases(args.store)
+    if probe is None:
         return 2
     meta = dict(probe.meta)
     if "n_orgs" not in meta or "world_seed" not in meta:
@@ -1013,7 +1029,9 @@ def _store_scratch_url(url: str, tag: str) -> str:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    store = SnapshotStore(args.store)
+    store = _open_releases(args.store)
+    if store is None:
+        return 2
     old = args.from_version
     new = args.to_version
     if new is None:
@@ -1076,7 +1094,10 @@ def _cmd_asof(args: argparse.Namespace) -> int:
                          or args.out.endswith(".json")):
         print("error: --out must end in .csv or .json", file=sys.stderr)
         return 2
-    history = ReleaseHistory(SnapshotStore(args.store))
+    store = _open_releases(args.store)
+    if store is None:
+        return 2
+    history = ReleaseHistory(store)
     into = None
     try:
         if args.dataset_store is not None:
@@ -1107,7 +1128,9 @@ def _cmd_asof(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
-    store = SnapshotStore(args.store)
+    store = _open_releases(args.store)
+    if store is None:
+        return 2
     try:
         events = ReleaseHistory(store).timeline(args.asn)
     except SnapshotError as exc:
@@ -1146,7 +1169,9 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_churn(args: argparse.Namespace) -> int:
-    store = SnapshotStore(args.store)
+    store = _open_releases(args.store)
+    if store is None:
+        return 2
     new = args.to_version if args.to_version is not None else len(store)
     old = args.from_version if args.from_version is not None else new - 1
     try:
@@ -1231,6 +1256,9 @@ def _build_serving_app(args: argparse.Namespace, registry, runlog):
         return 2
 
     if args.snapshots is not None:
+        if _open_releases(args.snapshots) is None:
+            return 2
+
         def rebuild(generation: int):
             return index_from_snapshots(
                 args.snapshots, version=args.version,

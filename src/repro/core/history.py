@@ -24,7 +24,7 @@ or before D (``through_day <= D``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .snapshots import SnapshotError, SnapshotInfo, SnapshotStore
 
@@ -36,6 +36,7 @@ __all__ = [
     "TimelineEvent",
     "categorization",
     "event_for",
+    "fold_timelines",
 ]
 
 #: Churn-state label for an AS not present in a release.
@@ -109,11 +110,7 @@ def event_for(
     new: Optional[Dict[str, object]],
 ) -> Optional[TimelineEvent]:
     """The timeline event taking an AS from item ``old`` to ``new`` at
-    release ``info``, or None when nothing changed.
-
-    Shared by the full-history scans below and the serving layer's
-    incremental :meth:`~repro.serving.index.HistoryIndex.extend`, so
-    both paths mint byte-identical events."""
+    release ``info``, or None when nothing changed."""
     if old is None and new is None:
         return None
     if old is None:
@@ -139,6 +136,48 @@ def event_for(
             and old.get("stage") != new.get("stage")
         ),
     )
+
+
+def fold_timelines(
+    timelines: Mapping[int, Tuple[TimelineEvent, ...]],
+    chain: Iterable[Tuple[SnapshotInfo, List[dict], List[int]]],
+) -> Dict[int, Tuple[TimelineEvent, ...]]:
+    """``timelines`` (ASN -> events) carried through ``chain``, a
+    :meth:`SnapshotStore.deltas_since` result.
+
+    The one event fold: :class:`ReleaseHistory` runs it from nothing and
+    :meth:`~repro.serving.index.HistoryIndex.extend` from the timelines
+    it serves.  Each version applies its removals, then its changed
+    items; a ``full`` version pins the whole state, so every present AS
+    it lacks is removed.  ``timelines`` is left untouched and ASes the
+    chain never touches keep their tuples.  Linear in events: a touched
+    AS's events are copied into a list once and frozen at the end.
+    """
+    grown: Dict[int, List[TimelineEvent]] = {}
+
+    def last(asn: int) -> Optional[Dict[str, object]]:
+        events = grown.get(asn) or timelines.get(asn)
+        return events[-1].item if events else None
+
+    def apply(info: SnapshotInfo, asn: int, item: Optional[dict]) -> None:
+        event = event_for(info, last(asn), item)
+        if event is not None:
+            if asn not in grown:
+                grown[asn] = list(timelines.get(asn, ()))
+            grown[asn].append(event)
+
+    for info, changed, removed in chain:
+        if info.kind == "full":
+            kept = {int(item["asn"]) for item in changed}
+            removed = [asn for asn in timelines.keys() | grown.keys()
+                       if asn not in kept and last(asn) is not None]
+        for asn in removed:
+            apply(info, int(asn), None)
+        for item in changed:
+            apply(info, int(item["asn"]), item)
+    successor = dict(timelines)
+    successor.update((asn, tuple(events)) for asn, events in grown.items())
+    return successor
 
 
 @dataclass(frozen=True)
@@ -244,77 +283,27 @@ class ReleaseHistory:
 
     # -- trajectories -------------------------------------------------------
 
-    def _full_state(self, info: SnapshotInfo) -> Dict[int, dict]:
-        """ASN -> item map of a version that stores a full document."""
-        return {
-            int(item["asn"]): item
-            for item in self._store._full_items(info.filename, info.version)
-        }
-
     def timeline(self, asn: int) -> Tuple[TimelineEvent, ...]:
-        """One AS's per-version classification trajectory.
-
-        Scans the recorded delta chain — full documents are parsed only
-        at ``full`` versions (v1 and explicit full saves); checkpointed
-        deltas are scanned as the deltas they are, and no dataset is
-        ever materialized.  Empty when the AS never appears.
+        """One AS's per-version classification trajectory: the
+        :func:`fold_timelines` of :meth:`timelines`, over the chain
+        narrowed to this AS.  Deltas are scanned as recorded (never
+        their checkpoints) and no dataset is ever materialized.  Empty
+        when the AS never appears.
         """
-        events: List[TimelineEvent] = []
-        current: Optional[Dict[str, object]] = None
-        for info in self._store.versions():
-            if info.kind == "full":
-                item: Optional[dict] = self._full_state(info).get(asn)
-            else:
-                changed, removed = self._store.changes(info.version)
-                item = current
-                for candidate in changed:
-                    if int(candidate["asn"]) == asn:
-                        item = candidate
-                        break
-                else:
-                    if asn in removed:
-                        item = None
-            event = event_for(info, current, item)
-            if event is not None:
-                events.append(event)
-            current = item
-        return tuple(events)
+        chain = [
+            (info, [item for item in changed if int(item["asn"]) == asn],
+             [gone for gone in removed if gone == asn])
+            for info, changed, removed in self._store.deltas_since(0)
+        ]
+        return fold_timelines({}, chain).get(asn, ())
 
     def timelines(self) -> Dict[int, Tuple[TimelineEvent, ...]]:
-        """Every AS's trajectory, in one pass over the version chain.
-
-        The serving layer's bulk builder: one scan of the history
-        yields the same events :meth:`timeline` would produce per AS.
-        Full versions are treated as pinning the complete state (ASes
-        absent from a full document get a ``removed`` event).
+        """Every AS's trajectory, in one pass over the version chain:
+        :func:`fold_timelines` from nothing.  Full versions pin the
+        complete state (ASes absent from a full document get a
+        ``removed`` event).
         """
-        events: Dict[int, List[TimelineEvent]] = {}
-        current: Dict[int, dict] = {}
-
-        def apply(info: SnapshotInfo, asn: int,
-                  item: Optional[dict]) -> None:
-            event = event_for(info, current.get(asn), item)
-            if event is not None:
-                events.setdefault(asn, []).append(event)
-            if item is None:
-                current.pop(asn, None)
-            else:
-                current[asn] = item
-
-        for info in self._store.versions():
-            if info.kind == "full":
-                state = self._full_state(info)
-                for asn in sorted(set(current) - set(state)):
-                    apply(info, asn, None)
-                for asn in sorted(state):
-                    apply(info, asn, state[asn])
-            else:
-                changed, removed = self._store.changes(info.version)
-                for asn in removed:
-                    apply(info, asn, None)
-                for item in changed:
-                    apply(info, int(item["asn"]), item)
-        return {asn: tuple(seq) for asn, seq in events.items()}
+        return fold_timelines({}, self._store.deltas_since(0))
 
     # -- churn --------------------------------------------------------------
 

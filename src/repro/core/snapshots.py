@@ -47,7 +47,7 @@ import tempfile
 import uuid
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
-from typing import IO, Dict, Iterator, List, Optional, Tuple
+from typing import IO, Dict, List, Optional, Tuple
 
 from .database import ASdbDataset, DatasetDiff, diff_record_streams
 from .persistence import (
@@ -223,7 +223,9 @@ class SnapshotStore:
         root: str,
         checkpoint_every: Optional[int] = None,
     ) -> None:
-        """Open (or create) the store at ``root``.
+        """Open the store at ``root``.  Opening creates nothing: the
+        directory appears with the first write (:meth:`save` or
+        :meth:`set_meta`), so a mistyped path leaves no trace.
 
         ``checkpoint_every=K`` promotes every K-th consecutive delta to
         a checkpoint.  The setting persists in the manifest, so a store
@@ -238,7 +240,6 @@ class SnapshotStore:
         #: the manifest.  Mutate via :meth:`set_meta`.
         self.meta: Dict[str, object] = {}
         self._checkpoint_every: Optional[int] = None
-        os.makedirs(self._root, exist_ok=True)
         manifest_path = os.path.join(self._root, _MANIFEST)
         if os.path.exists(manifest_path):
             self._load_manifest(manifest_path)
@@ -322,6 +323,7 @@ class SnapshotStore:
     def set_meta(self, meta: Dict[str, object]) -> None:
         """Replace the store metadata and persist the manifest."""
         self.meta = dict(meta)
+        os.makedirs(self._root, exist_ok=True)
         self._write_manifest(expected_on_disk=len(self._versions))
 
     # -- inspection ---------------------------------------------------------
@@ -501,6 +503,7 @@ class SnapshotStore:
                                                                     None)
         checkpoint: Optional[str] = None
         created: List[str] = []
+        os.makedirs(self._root, exist_ok=True)
         try:
             if version == 1 or full:
                 filename = f"v{version:04d}.full.json"
@@ -608,7 +611,7 @@ class SnapshotStore:
             return info.checkpoint
         return None
 
-    def _full_items(self, name: str, version: int) -> Iterator[dict]:
+    def _full_items(self, name: str, version: int) -> List[dict]:
         """Record items of a stored full document, in file order."""
         document = json.loads(self._read_file(name, version))
         if document.get("format") != DATASET_FORMAT:
@@ -616,22 +619,7 @@ class SnapshotStore:
                 f"v{version}: unsupported document format "
                 f"{document.get('format')!r}"
             )
-        return iter(document["records"])
-
-    def changes(self, version: int) -> Tuple[List[dict], List[int]]:
-        """The recorded delta of one version: ``(changed record items,
-        removed ASNs)`` exactly as stored on disk.
-
-        The temporal layer's scan primitive: timelines and churn walk
-        the chain through this without materializing any dataset.  Full
-        versions record no delta (SnapshotError).
-        """
-        info = self.info(version)
-        if info.kind != "delta":
-            raise SnapshotError(
-                f"v{version} is a full snapshot; it records no delta"
-            )
-        return self._read_delta(info)
+        return document["records"]
 
     def _read_delta(self, info: SnapshotInfo) -> Tuple[List[dict], List[int]]:
         delta = json.loads(self._read_file(info.filename, info.version))
@@ -646,27 +634,37 @@ class SnapshotStore:
         )
 
     def deltas_since(
-        self, version: int
+        self, version: int, digest: Optional[str] = None
     ) -> Optional[List[Tuple[SnapshotInfo, List[dict], List[int]]]]:
-        """The recorded delta chain from ``version`` (exclusive) to the
-        latest, as ``[(info, changed items, removed ASNs), ...]``.
+        """The recorded chain after ``version``, oldest first, as
+        ``[(info, changed items, removed ASNs), ...]``; ``None`` when the
+        caller's lineage does not match the store.
 
-        The serving layer's incremental-refresh hook: a caller holding
-        an index built at ``version`` can absorb everything newer by
-        applying these deltas in order, never materializing a dataset.
-        Returns ``None`` when the chain is not pure deltas — a ``full``
-        save after ``version`` records no delta against its parent, so
-        an incremental caller must fall back to a full rebuild.
-        Raises :class:`SnapshotError` when ``version`` itself is not in
-        the store.
+        The one chain iterator behind every timeline fold and
+        incremental refresh, and the one lineage check: a caller holding
+        state built at ``version``, whose manifest digest was
+        ``digest``, absorbs everything newer by folding these entries in
+        order, never materializing a dataset.  Version 0 means "from the
+        start" (no digest needed), so the chain opens with v1.  A delta
+        yields what it recorded (checkpoints are never read); a ``full``
+        version yields its whole document's items and no removals: it
+        pins the complete state, so a fold treats every AS it lacks as
+        removed.  ``None`` means ``version`` is not in the store or its
+        digest differs: the store was rewritten, or is another store.
         """
-        self.info(version)  # range check, with the usual error
+        if version and not (
+            1 <= version <= len(self._versions) and digest
+            and self._versions[version - 1].digest == digest
+        ):
+            return None
         chain: List[Tuple[SnapshotInfo, List[dict], List[int]]] = []
         for info in self._versions[version:]:
-            if info.kind != "delta" or info.parent != info.version - 1:
-                return None
-            changed, removed = self.changes(info.version)
-            chain.append((info, changed, removed))
+            if info.kind == "full":
+                chain.append(
+                    (info, self._full_items(info.filename, info.version), [])
+                )
+            else:
+                chain.append((info, *self._read_delta(info)))
         return chain
 
     @staticmethod

@@ -22,7 +22,7 @@ or over HTTP, via the CLI::
 from typing import Dict, Optional
 
 from ..core.persistence import record_from_item
-from ..core.snapshots import SnapshotError, SnapshotStore
+from ..core.snapshots import SnapshotStore
 from .app import ServingApp
 from .index import HistoryIndex, IndexVersion, ReadIndex, record_view
 from .queue import (
@@ -100,29 +100,20 @@ def refresh_index_from_snapshots(
 
     The O(changed) counterpart of :func:`index_from_snapshots`:
     instead of materializing the latest release and rebuilding every
-    lookup structure, the recorded deltas appended since ``previous``
-    was built are merged into one net change set (remove-then-readd
-    collapses correctly) and applied copy-on-write.  Lineage is
-    verified first — the snapshot version ``previous`` serves must
-    still be in the store with the same digest, and every newer version
-    must be a plain delta; any mismatch (store rewritten, an
-    intervening ``full`` save, a digest-less index) returns ``None``
-    and the caller falls back to the full rebuild.
+    lookup structure, the chain recorded since ``previous`` was built
+    (:meth:`SnapshotStore.deltas_since`, which checks the lineage) is
+    merged into one net change set (remove-then-readd collapses
+    correctly) and applied copy-on-write.  A lineage mismatch (store
+    rewritten, an index without a snapshot digest) returns ``None``,
+    and so does a chain holding a ``full`` save, so the caller
+    re-baselines through the digest-verified full rebuild.
     """
     version = previous.version
-    if version.snapshot_version is None or not version.digest:
+    chain = SnapshotStore(root).deltas_since(
+        version.snapshot_version or 0, version.digest
+    )
+    if chain is None or any(info.kind == "full" for info, _, _ in chain):
         return None
-    store = SnapshotStore(root)
-    try:
-        base_info = store.info(version.snapshot_version)
-    except SnapshotError:
-        return None
-    if base_info.digest != version.digest:
-        return None
-    chain = store.deltas_since(version.snapshot_version)
-    if chain is None:
-        return None
-    latest = store.latest()
     net_changed: Dict[int, dict] = {}
     net_removed: Dict[int, None] = {}
     for _, changed, removed in chain:
@@ -133,13 +124,15 @@ def refresh_index_from_snapshots(
             asn = int(item["asn"])
             net_removed.pop(asn, None)
             net_changed[asn] = item
+    latest = chain[-1][0] if chain else None
     return previous.apply_delta(
         (record_from_item(item) for item in net_changed.values()),
         net_removed,
         generation=generation,
         source=f"snapshots:{root}",
-        snapshot_version=latest.version,
-        digest=latest.digest,
+        snapshot_version=(latest.version if latest
+                          else version.snapshot_version),
+        digest=latest.digest if latest else version.digest,
     )
 
 

@@ -303,8 +303,9 @@ class ServingApp:
         *before* either swap — a failure anywhere leaves the service on
         the old, mutually consistent index/history pair — and both are
         then published pairwise, stamped with the same generation.  The
-        chosen path lands in the ``serve.refresh_mode`` ledger event
-        and the ``asdb_serve_refresh_incremental_total`` /
+        ``serve.rebuild`` span covers both builds and notes both modes;
+        the chosen path also lands in the ``serve.refresh_mode`` ledger
+        event and the ``asdb_serve_refresh_incremental_total`` /
         ``asdb_serve_refresh_full_total`` counters.
         """
         if self._rebuild is None:
@@ -312,6 +313,8 @@ class ServingApp:
         generation = self._index.version.generation + 1
         mode = "full"
         index: Optional[ReadIndex] = None
+        history: Optional[HistoryIndex] = None
+        history_mode = None
         with self.runlog.span("serve.rebuild") as span:
             if self._refresh_incremental is not None:
                 try:
@@ -327,23 +330,23 @@ class ServingApp:
                     mode = "incremental"
             if index is None:
                 index = self._rebuild(generation)
+            if self._rebuild_history is not None:
+                if (mode == "incremental"
+                        and self._history is not None
+                        and self._refresh_history_incremental is not None):
+                    history = self._refresh_history_incremental(
+                        generation, self._history
+                    )
+                history_mode = ("incremental" if history is not None
+                                else "full")
+                if history is None:
+                    history = self._rebuild_history(generation)
             span.note(
                 generation=index.version.generation,
                 records=index.version.records,
                 mode=mode,
+                history_mode=history_mode,
             )
-        history: Optional[HistoryIndex] = None
-        history_mode = None
-        if self._rebuild_history is not None:
-            if (mode == "incremental"
-                    and self._history is not None
-                    and self._refresh_history_incremental is not None):
-                history = self._refresh_history_incremental(
-                    generation, self._history
-                )
-            history_mode = "incremental" if history is not None else "full"
-            if history is None:
-                history = self._rebuild_history(generation)
         if mode == "incremental":
             self._m_refresh_incremental.inc(1)
         else:

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.database import ASdbRecord
-from ..core.history import ReleaseHistory, TimelineEvent, event_for
+from ..core.history import TimelineEvent, fold_timelines
 from ..core.persistence import record_to_item
-from ..core.snapshots import SnapshotError, SnapshotInfo, SnapshotStore
+from ..core.snapshots import SnapshotInfo, SnapshotStore
 from ..core.stages import Stage
 from ..world.names import token_set
 
@@ -48,6 +48,11 @@ def record_view(record: ASdbRecord) -> Dict[str, object]:
     view["classified"] = record.classified
     view["confidence"] = record.confidence
     return view
+
+
+def _tally(counts: Dict[str, int]) -> Dict[str, int]:
+    """``counts`` sorted by key, without zero entries."""
+    return {key: count for key, count in sorted(counts.items()) if count}
 
 
 def _org_tokens(record: ASdbRecord) -> Tuple[str, ...]:
@@ -116,20 +121,16 @@ class ReadIndex:
         categories: Dict[str, int],
         stage_counts: Dict[str, int],
         version: IndexVersion,
-        classified: Optional[int] = None,
+        classified: int,
     ) -> None:
         self._records = records
         self._postings = postings
-        # Sorted once at construction so every render of the histogram
-        # (and the fingerprint) is deterministic regardless of whether
-        # this index came from a full build or a delta application.
-        self._categories = dict(sorted(categories.items()))
-        self._stage_counts = dict(sorted(stage_counts.items()))
-        self._classified = (
-            classified
-            if classified is not None
-            else sum(1 for r in records.values() if r.classified)
-        )
+        # Sorted, without zero tallies, once at construction, so every
+        # render of the histograms (and the fingerprint) depends only on
+        # the records served.
+        self._categories = _tally(categories)
+        self._stage_counts = _tally(stage_counts)
+        self._classified = classified
         self.version = version
         #: Per-generation pre-rendered responses, keyed by request
         #: target.  The index is immutable, so an entry never goes
@@ -169,42 +170,14 @@ class ReadIndex:
         snapshot_version: Optional[int] = None,
         digest: Optional[str] = None,
     ) -> "ReadIndex":
-        """Materialize an index from any record iterable.
-
-        One streaming pass: by-ASN map, organization-token postings,
-        category histogram, and stage counts are all built together, so
-        a store-backed build reads each record exactly once.
-        """
-        by_asn: Dict[int, ASdbRecord] = {}
-        posting_sets: Dict[str, List[int]] = {}
-        categories: Dict[str, int] = {}
-        stage_counts: Dict[str, int] = {}
-        classified = 0
-        for record in records:
-            by_asn[record.asn] = record
-            if record.classified:
-                classified += 1
-            stage_counts[record.stage.value] = (
-                stage_counts.get(record.stage.value, 0) + 1
-            )
-            for slug in record.labels.layer1_slugs():
-                categories[slug] = categories.get(slug, 0) + 1
-            for token in _org_tokens(record):
-                posting_sets.setdefault(token, []).append(record.asn)
-        postings = {
-            token: tuple(sorted(asns))
-            for token, asns in posting_sets.items()
-        }
-        version = IndexVersion(
-            generation=generation,
-            records=len(by_asn),
-            coverage=classified / len(by_asn) if by_asn else 0.0,
-            source=source,
-            snapshot_version=snapshot_version,
-            digest=digest,
+        """Materialize an index from any record iterable: the records
+        applied as one delta to an empty index, in one streaming pass
+        (a store-backed build reads each record exactly once)."""
+        empty = cls({}, {}, {}, {}, IndexVersion(0, 0, 0.0), classified=0)
+        return empty.apply_delta(
+            records, (), generation=generation, source=source,
+            snapshot_version=snapshot_version, digest=digest,
         )
-        return cls(by_asn, postings, categories, stage_counts, version,
-                   classified=classified)
 
     # -- incremental refresh -------------------------------------------------
 
@@ -219,71 +192,54 @@ class ReadIndex:
     ) -> "ReadIndex":
         """Build the successor index from this one plus a delta.
 
-        Copy-on-write of only the touched state: the by-ASN map and the
-        postings table are shallow-copied dicts (O(world) pointer
-        copies, no re-parsing or re-tokenizing), and only entries for
-        removed/changed records — their org tokens, their category and
-        stage tallies — are recomputed.  ``removed`` applies first,
-        then ``changed`` (each ASN at most once), matching snapshot
-        delta semantics; the result is structurally identical to a full
-        :meth:`build` over the updated record set (see
-        :meth:`fingerprint`).  This index is left untouched.
+        The one build path (:meth:`build` applies every record to an
+        empty index).  Copy-on-write of only the touched state: the
+        by-ASN map and the postings table are shallow-copied dicts, and
+        only entries for removed/changed records — their org tokens,
+        their category and stage tallies — are recomputed.  ``removed``
+        applies first, then ``changed`` (a changed ASN already present
+        replaces its record), matching snapshot delta semantics.  This
+        index is left untouched.
         """
         records = dict(self._records)
         categories = dict(self._categories)
         stage_counts = dict(self._stage_counts)
         classified = self._classified
-        posting_adds: Dict[str, set] = {}
-        posting_drops: Dict[str, set] = {}
+        #: token -> its new member set, for every token touched.
+        members: Dict[str, set] = {}
 
-        def bump(table: Dict[str, int], key: str, step: int) -> None:
-            total = table.get(key, 0) + step
-            if total:
-                table[key] = total
-            else:
-                table.pop(key, None)
-
-        def retire(record: ASdbRecord) -> None:
+        def tally(record: ASdbRecord, step: int) -> None:
             nonlocal classified
             if record.classified:
-                classified -= 1
-            bump(stage_counts, record.stage.value, -1)
+                classified += step
+            stage = record.stage.value
+            stage_counts[stage] = stage_counts.get(stage, 0) + step
             for slug in record.labels.layer1_slugs():
-                bump(categories, slug, -1)
+                categories[slug] = categories.get(slug, 0) + step
             for token in _org_tokens(record):
-                posting_drops.setdefault(token, set()).add(record.asn)
-                adds = posting_adds.get(token)
-                if adds is not None:
-                    adds.discard(record.asn)
-
-        def admit(record: ASdbRecord) -> None:
-            nonlocal classified
-            if record.classified:
-                classified += 1
-            bump(stage_counts, record.stage.value, 1)
-            for slug in record.labels.layer1_slugs():
-                bump(categories, slug, 1)
-            for token in _org_tokens(record):
-                posting_adds.setdefault(token, set()).add(record.asn)
+                asns = members.get(token)
+                if asns is None:
+                    asns = members[token] = set(self._postings.get(token, ()))
+                if step > 0:
+                    asns.add(record.asn)
+                else:
+                    asns.discard(record.asn)
 
         for asn in removed:
             old = records.pop(int(asn), None)
             if old is not None:
-                retire(old)
+                tally(old, -1)
         for record in changed:
             old = records.get(record.asn)
             if old is not None:
-                retire(old)
+                tally(old, -1)
             records[record.asn] = record
-            admit(record)
+            tally(record, 1)
 
         postings = dict(self._postings)
-        for token in set(posting_drops) | set(posting_adds):
-            members = set(postings.get(token, ()))
-            members -= posting_drops.get(token, set())
-            members |= posting_adds.get(token, set())
-            if members:
-                postings[token] = tuple(sorted(members))
+        for token, asns in members.items():
+            if asns:
+                postings[token] = tuple(sorted(asns))
             else:
                 postings.pop(token, None)
 
@@ -432,13 +388,10 @@ class HistoryIndex:
         generation: int = 1,
         source: str = "",
     ) -> "HistoryIndex":
-        """Precompute all timelines from a snapshot store."""
-        history = ReleaseHistory(store)
-        return cls(
-            history.timelines(),
-            {info.version: info for info in store.versions()},
-            generation=generation,
-            source=source or f"snapshots:{store.root}",
+        """Precompute all timelines from a snapshot store: :meth:`extend`
+        from an empty history."""
+        return cls({}, {}, generation, source).extend(
+            store, generation, source or f"snapshots:{store.root}"
         )
 
     def extend(
@@ -449,47 +402,25 @@ class HistoryIndex:
     ) -> Optional["HistoryIndex"]:
         """Successor covering releases appended since this build.
 
-        Appends just the new versions' events onto the existing
-        timelines (copy-on-write: untouched ASes share their event
-        tuples with this index) instead of rescanning the whole delta
-        chain.  Applies only when the store's lineage matches — the
-        newest release this index covers must still be present with the
-        same digest, and everything after it must be a plain delta.
-        Returns ``None`` otherwise; the caller falls back to
-        :meth:`build`.  This index is left untouched.
+        Folds just the new versions into the existing timelines
+        (:func:`~repro.core.history.fold_timelines`; untouched ASes
+        share their event tuples with this index) instead of rescanning
+        the whole chain.  A full save among them pins the whole state.
+        Returns ``None`` when the store's lineage no longer matches (the
+        newest release this index covers is gone or has another
+        digest); the caller falls back to :meth:`build`.  This index is
+        left untouched.
         """
         base = self.latest_version
-        if base == 0:
-            return None
-        try:
-            base_info = store.info(base)
-        except SnapshotError:
-            return None
-        if base_info.digest != self._infos[base].digest:
-            return None
-        chain = store.deltas_since(base)
+        chain = store.deltas_since(
+            base, self._infos[base].digest if base else None
+        )
         if chain is None:
             return None
-        timelines = dict(self._timelines)
-
-        def apply(info: SnapshotInfo, asn: int,
-                  item: Optional[dict]) -> None:
-            timeline = timelines.get(asn, ())
-            current = timeline[-1].item if timeline else None
-            event = event_for(info, current, item)
-            if event is not None:
-                timelines[asn] = timeline + (event,)
-
-        for info, changed, removed in chain:
-            for asn in removed:
-                apply(info, int(asn), None)
-            for item in changed:
-                apply(info, int(item["asn"]), item)
         infos = dict(self._infos)
-        for info, _, _ in chain:
-            infos[info.version] = info
+        infos.update((info.version, info) for info, _, _ in chain)
         return HistoryIndex(
-            timelines,
+            fold_timelines(self._timelines, chain),
             infos,
             generation=generation,
             source=source or self.source,

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import read_ledger
 
 
 class TestParser:
@@ -110,6 +111,20 @@ class TestLookupCommand:
 
 
 class TestObservabilityFlags:
+    def test_config_digest_ignores_output_destinations(
+        self, tmp_path, capsys
+    ):
+        def digest(seed, out):
+            ledger = tmp_path / f"{out}.ndjson"
+            assert main(
+                ["classify", "--n-orgs", "30", "--seed", seed, "--no-ml",
+                 "--runlog", str(ledger), "--out", str(tmp_path / out)]
+            ) == 0
+            return read_ledger(str(ledger))[0]["config_digest"]
+
+        assert digest("3", "a.csv") == digest("3", "b.csv")
+        assert digest("4", "c.csv") != digest("3", "d.csv")
+
     def test_classify_prints_cache_hit_rate(self, capsys):
         code = main(
             ["classify", "--n-orgs", "40", "--seed", "5", "--no-ml"]
@@ -264,6 +279,23 @@ class TestReleaseCommands:
 
     def test_refresh_requires_snapshot(self, store, capsys):
         assert main(["refresh", "--store", store, "--days", "30"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["timeline", "--store", "{}", "--asn", "5"],
+        ["asof", "--store", "{}", "--version", "1"],
+        ["churn", "--store", "{}"],
+        ["diff", "--store", "{}"],
+        ["refresh", "--store", "{}", "--days", "30"],
+        ["serve", "--snapshots", "{}"],
+    ], ids=lambda argv: argv[0])
+    def test_missing_store_is_refused_and_left_missing(
+        self, store, capsys, argv
+    ):
+        assert main([store if arg == "{}" else arg for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert store in err
+        assert not os.path.exists(store)
 
     def test_diff_json_document(self, store, capsys):
         assert self._snapshot(store) == 0

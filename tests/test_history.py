@@ -488,3 +488,53 @@ class TestReleaseHistory:
             {"layer1": "finance", "layer2": "banks"},
         ]}
         assert categorization(item) == "finance+media"
+
+
+class TestDeltasSince:
+    """``SnapshotStore.deltas_since``: the one chain iterator and the one
+    lineage check behind every timeline fold and incremental refresh."""
+
+    def _store(self, tmp_path):
+        store = SnapshotStore(tmp_path / "s")
+        _grow(store, [
+            _dataset(_record(1), _record(2)),
+            _dataset(_record(1, ("streaming",)), _record(3)),
+        ])
+        store.save(_dataset(_record(1, ("streaming",)), _record(4)),
+                   window=(180, 270), full=True)
+        store.save(_dataset(_record(4, ("banks",))), window=(270, 360))
+        return store
+
+    def test_version_zero_is_the_whole_chain(self, tmp_path):
+        store = self._store(tmp_path)
+        chain = store.deltas_since(0)
+        assert type(chain) is list
+        assert [info.version for info, _, _ in chain] == [1, 2, 3, 4]
+        first, items, removed = chain[0]
+        assert first.kind == "full"
+        assert [item["asn"] for item in items] == [1, 2]
+        assert removed == []
+        assert chain[1][1:] == store.deltas_since(
+            1, store.info(1).digest)[0][1:]
+
+    def test_a_full_save_yields_its_items(self, tmp_path):
+        store = self._store(tmp_path)
+        chain = store.deltas_since(2, store.info(2).digest)
+        assert [info.version for info, _, _ in chain] == [3, 4]
+        info, items, removed = chain[0]
+        assert info.kind == "full"
+        assert [item["asn"] for item in items] == [1, 4]
+        assert removed == []
+        assert [item["asn"] for item in chain[1][1]] == [4]
+        assert chain[1][2] == [1]
+
+    def test_latest_version_yields_an_empty_list(self, tmp_path):
+        store = self._store(tmp_path)
+        assert store.deltas_since(4, store.info(4).digest) == []
+
+    def test_lineage_mismatch_is_none(self, tmp_path):
+        store = self._store(tmp_path)
+        assert store.deltas_since(2, store.info(3).digest) is None
+        assert store.deltas_since(2, None) is None
+        assert store.deltas_since(5, store.info(4).digest) is None
+        assert store.deltas_since(-1, store.info(1).digest) is None

@@ -16,6 +16,7 @@ The contracts under test:
 import asyncio
 import http.client
 import json
+import os
 import random
 import socket
 import threading
@@ -24,8 +25,9 @@ import time
 import pytest
 
 from repro import SystemConfig, WorldConfig, build_asdb, generate_world
-from repro.core import ASdbRecord, SnapshotStore, Stage
+from repro.core import ASdbRecord, ReleaseHistory, SnapshotStore, Stage
 from repro.core.database import ASdbDataset
+from repro.core.history import event_for
 from repro.obs import MetricsRegistry, RunLog, read_ledger
 from repro.serving import (
     OFFER_FULL,
@@ -1072,10 +1074,166 @@ class TestIncrementalRefresh:
         store.save(_dataset([_record(1)]))
         history = history_from_snapshots(root, generation=1)
         store.save(_dataset([_record(1), _record(2)]), full=True)
-        assert refresh_history_from_snapshots(root, history, 2) is None
+        # A full save pins the whole state, so extending across it
+        # equals a build from scratch.
+        extended = refresh_history_from_snapshots(root, history, 2)
+        full = history_from_snapshots(root, generation=2)
+        assert extended._timelines == full._timelines
+        assert extended._infos == full._infos
         other = str(tmp_path / "other")
         SnapshotStore(other).save(_dataset([_record(9)]))
         assert refresh_history_from_snapshots(other, history, 2) is None
+
+
+def _seeded_records(seed=2021, count=48):
+    """A seeded record population: org names, domains, unlabelled
+    records and every stage."""
+    rng = random.Random(seed)
+    orgs = ("Acme Networks", "Globex", "Initech Systems", None)
+    domains = ("acme.net", "globex.com", "initech.io", None)
+    slugs = [("isp",), ("hosting",), ("banks",), ("isp", "hosting"), ()]
+    return [
+        _record(asn, slugs=rng.choice(slugs), stage=rng.choice(list(Stage)),
+                org=rng.choice(orgs), domain=rng.choice(domains))
+        for asn in sorted(rng.sample(range(1, 500), count))
+    ]
+
+
+#: ``ReadIndex.build(_seeded_records())`` as the build that tallied
+#: records inline (before it became a delta applied to an empty index)
+#: left it: its fingerprint and its org-token postings.
+GOLDEN_FINGERPRINT = "ec163f4562901e4ec645531f94c4b0e1"
+GOLDEN_POSTINGS = {
+    "systems": (18, 33, 59, 144, 226, 228, 274, 327, 345, 381, 468, 499),
+    "initech": (18, 33, 59, 139, 144, 161, 226, 228, 270, 274, 279, 281,
+                326, 327, 345, 349, 381, 424, 425, 427, 429, 440, 455,
+                468, 469, 499),
+    "globex": (27, 28, 33, 40, 54, 85, 127, 161, 240, 270, 281, 295, 309,
+               323, 326, 327, 424, 492, 499),
+    "acme": (28, 40, 83, 142, 144, 151, 152, 207, 226, 228, 243, 295, 323,
+             345, 349, 367, 381, 427, 450, 469, 491, 492),
+    "networks": (28, 40, 83, 142, 151, 152, 207, 243, 349, 427, 469, 492),
+    "com": (28, 33, 40, 54, 85, 240, 327, 492, 499),
+    "globex.com": (28, 33, 40, 54, 85, 240, 327, 492, 499),
+    "io": (59, 139, 161, 270, 274, 279, 281, 326, 349, 424, 425, 427, 429,
+           440, 455, 468, 469),
+    "initech.io": (59, 139, 161, 270, 274, 279, 281, 326, 349, 424, 425,
+                   427, 429, 440, 455, 468, 469),
+    "net": (83, 144, 152, 207, 226, 228, 295, 323, 345, 367, 381, 450, 491),
+    "acme.net": (83, 144, 152, 207, 226, 228, 295, 323, 345, 367, 381, 450,
+                 491),
+}
+
+
+def _reference_timelines(store):
+    """Every AS's timeline, folded the way ``ReleaseHistory.timelines()``
+    did before ``HistoryIndex.build`` became ``extend`` from an empty
+    history: one pass over the versions, a full version pinning the
+    whole state.  Reads the documents straight from disk, so it shares
+    no chain code with the store."""
+    def document(info):
+        with open(os.path.join(store.root, info.filename)) as handle:
+            return json.load(handle)
+
+    events, current = {}, {}
+
+    def apply(info, asn, item):
+        event = event_for(info, current.get(asn), item)
+        if event is not None:
+            events.setdefault(asn, []).append(event)
+        if item is None:
+            current.pop(asn, None)
+        else:
+            current[asn] = item
+
+    for info in store.versions():
+        if info.kind == "full":
+            state = {int(item["asn"]): item
+                     for item in document(info)["records"]}
+            for asn in sorted(set(current) - set(state)):
+                apply(info, asn, None)
+            for asn in sorted(state):
+                apply(info, asn, state[asn])
+        else:
+            delta = document(info)
+            for asn in delta["removed"]:
+                apply(info, int(asn), None)
+            for item in delta["changed"]:
+                apply(info, int(item["asn"]), item)
+    return {asn: tuple(seq) for asn, seq in events.items()}
+
+
+def _chain_with_full_save(rng, root, checkpoint_every, full_at=3):
+    """A random release chain of 7 versions whose ``full_at``-th delta
+    is an explicit full save.  Yields the store after every save."""
+    store = SnapshotStore(root, checkpoint_every=checkpoint_every)
+    world = _random_world(rng)
+    store.save(_dataset(world.values()), window=(-1, 0))
+    yield store
+    for epoch in range(1, 7):
+        _mutate(rng, world)
+        store.save(_dataset(world.values()),
+                   window=(epoch * 30 - 30, epoch * 30),
+                   full=epoch == full_at)
+        yield store
+
+
+class TestOneBuildPath:
+    """A cold build is the incremental path started from an empty index;
+    these pin what the separate build paths it replaced produced."""
+
+    def test_build_matches_golden_fingerprint_and_postings(self):
+        index = ReadIndex.build(_seeded_records(), source="golden")
+        assert index.fingerprint() == GOLDEN_FINGERPRINT
+        assert index._postings == GOLDEN_POSTINGS
+        assert len(index) == 48
+        assert index.version.coverage == 38 / 48
+
+    def test_build_is_order_free(self):
+        records = _seeded_records()
+        assert ReadIndex.build(reversed(records)).fingerprint() == \
+            GOLDEN_FINGERPRINT
+
+    @pytest.mark.parametrize("checkpoint_every", [None, 1, 3])
+    def test_history_build_matches_reference_timelines(
+        self, tmp_path, checkpoint_every
+    ):
+        pinned = 0
+        for seed in range(5):
+            rng = random.Random(500 + seed)
+            root = str(tmp_path / f"releases-{seed}")
+            for store in _chain_with_full_save(rng, root, checkpoint_every):
+                reference = _reference_timelines(store)
+                built = HistoryIndex.build(store)
+                assert built._timelines == reference
+                assert ReleaseHistory(store).timelines() == reference
+                assert built._infos == {
+                    info.version: info for info in store.versions()
+                }
+            assert store.info(4).kind == "full"
+            pinned += sum(event.change == "removed"
+                          for events in reference.values()
+                          for event in events if event.version == 4)
+        assert pinned  # some AS left at the full save
+
+    @pytest.mark.parametrize("checkpoint_every", [None, 1, 3])
+    def test_extend_across_a_full_save_equals_build(
+        self, tmp_path, checkpoint_every
+    ):
+        for seed in range(5):
+            rng = random.Random(900 + seed)
+            root = str(tmp_path / f"releases-{seed}")
+            history = None
+            for generation, store in enumerate(
+                    _chain_with_full_save(rng, root, checkpoint_every), 1):
+                full = HistoryIndex.build(store, generation=generation)
+                if history is not None:
+                    history = history.extend(store, generation)
+                    assert history is not None
+                    assert history._timelines == full._timelines
+                    assert history._infos == full._infos
+                    assert history._days == full._days
+                history = full if history is None else history
 
 
 class TestResponseCacheAndConditional:
@@ -1393,6 +1551,49 @@ class TestRefreshModes:
         assert app.handle_request("GET", "/asn/6")[0] == 404
         status, body, _ = app.handle_request("GET", "/asn/1/history")
         assert (status, body["latest_version"]) == (200, 1)
+
+    @staticmethod
+    def _rebuild_spans(ledger):
+        return [
+            event for event in read_ledger(str(ledger))
+            if event["event"] == "span" and event["name"] == "serve.rebuild"
+        ]
+
+    def test_failing_history_rebuild_fails_the_rebuild_span(
+        self, tmp_path
+    ):
+        ledger = tmp_path / "run.ndjson"
+        runlog = RunLog(str(ledger), kind="serve", config={}, world={})
+        app, store = self._snapshot_app(
+            tmp_path, runlog=runlog, incremental=False
+        )
+        store.save(_dataset([_record(1), _record(2, org="Acme"),
+                             _record(6)]))
+
+        def broken_history(generation):
+            raise RuntimeError("history rebuild exploded")
+        app._rebuild_history = broken_history
+        app._refresh_history_incremental = None
+
+        with pytest.raises(RuntimeError, match="history rebuild"):
+            app.refresh()
+        runlog.close()
+        spans = self._rebuild_spans(ledger)
+        assert len(spans) == 1
+        assert spans[0]["status"] == "error: RuntimeError"
+
+    def test_rebuild_span_carries_the_history_mode(self, tmp_path):
+        ledger = tmp_path / "run.ndjson"
+        runlog = RunLog(str(ledger), kind="serve", config={}, world={})
+        app, store = self._snapshot_app(tmp_path, runlog=runlog)
+        store.save(_dataset([_record(1), _record(2, org="Acme"),
+                             _record(7)]))
+        app.refresh()
+        runlog.close()
+        (span,) = self._rebuild_spans(ledger)
+        assert span["status"] in ("", "ok")
+        assert span["attributes"]["mode"] == "incremental"
+        assert span["attributes"]["history_mode"] == "incremental"
 
 
 class TestOrgLimit:
