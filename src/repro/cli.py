@@ -7,20 +7,25 @@ Subcommands::
     python -m repro evaluate  --n-orgs 800 --seed 33
     python -m repro taxonomy  [--layer1 finance]
     python -m repro stats     --n-orgs 200 --format summary
+    python -m repro dump      --n-orgs 200 --out whois.dump
     python -m repro snapshot  --store releases --n-orgs 200 --seed 42
     python -m repro refresh   --store releases --days 90
     python -m repro diff      --store releases --from 1 --to 2
     python -m repro asof      --store releases --day 120
     python -m repro timeline  --store releases --asn 64512
     python -m repro churn     --store releases --from 1 --to 3
+    python -m repro report    run.ndjson
+    python -m repro health    --slo slo.json run.ndjson
     python -m repro serve     --snapshots releases --port 8311
 
 ``classify`` builds a world, runs the full pipeline, and writes the
 dataset (CSV or JSON by extension); ``--workers N`` runs the pass
-through the parallel batch engine with byte-identical output.  ``lookup`` narrates one AS through
-the pipeline.  ``evaluate`` reproduces the gold-standard evaluation.
-``taxonomy`` prints the NAICSlite category system.  ``stats`` runs a
-classification pass and prints the collected pipeline metrics.
+through the parallel batch engine with byte-identical output.
+``lookup`` narrates one AS through the pipeline.  ``evaluate``
+reproduces the gold-standard evaluation.  ``taxonomy`` prints the
+NAICSlite category system.  ``stats`` runs a classification pass and
+prints the collected pipeline metrics.  ``dump`` exports a world's bulk
+WHOIS, or parses a dump.
 
 Release maintenance (Section 5.3): ``snapshot`` classifies a fresh
 world through a baseline maintenance sweep and stores release v1 in a
@@ -32,11 +37,15 @@ runs one *incremental* sweep — only the changed ASNs are reclassified
 ``diff`` reports added/removed/relabeled/stage-changed ASNs between
 any two stored versions.
 
-Temporal queries (ROADMAP item 3): ``asof`` reconstructs the full
-digest-verified dataset in force at a version or day (``snapshot
---checkpoint-every K`` bounds the replay to K deltas); ``timeline``
-prints one AS's per-release classification trajectory from the delta
-chain alone; ``churn`` counts category flows between two releases.
+Temporal queries: ``asof`` reconstructs the full digest-verified
+dataset in force at a version or day (``snapshot --checkpoint-every K``
+bounds the replay to K deltas); ``timeline`` prints one AS's
+per-release classification trajectory from the delta chain alone;
+``churn`` counts category flows between two releases.
+
+Run ledgers: ``--runlog FILE`` persists a run's NDJSON event ledger;
+``report`` renders one (or compares two) and ``health`` checks one
+against SLO budgets.
 
 Serving: ``serve`` exposes the dataset as an async HTTP query API
 (``/asn/{asn}``, ``/org/{query}``, ``/categories``, ``/version``,
@@ -47,73 +56,19 @@ classification pass (optionally ``--lazy``: start empty and classify
 on demand through the bounded background queue; unknown ASNs answer
 202 with a Retry-After hint, queue overflow answers 503).
 
-Exit semantics: output piped into ``head``/``less`` may close stdout
-early; the CLI treats the resulting broken pipe as deliberate
-truncation and exits 0 quietly (no traceback) where a SIGPIPE-killed
-process would report exit 141.
+``repro <cmd> --help`` lists a subcommand's flags.  A flag that several
+subcommands take is declared once, in ``_FLAGS``, and means the same
+wherever it appears; ``_system_config`` is the one place flags become
+a :class:`~repro.system.SystemConfig`.
 
-Observability flags (``classify`` and ``lookup``):
-
-``--metrics-out FILE``
-    Write the run's metrics snapshot to FILE after classification —
-    Prometheus text exposition format, or JSON when FILE ends in
-    ``.json``.
-``--trace``
-    Record a per-stage span trace for every AS.  ``lookup --trace``
-    prints the narrated spans (stage, wall time, verdict, per-source
-    decisions); ``classify --trace`` prints an aggregate per-stage
-    timing table.
-``--profile [N]``
-    (``classify`` only) Print the top-N slowest pipeline stages
-    (default 5) aggregated from the run's trace spans; implies
-    ``--trace``.  The narration goes to *stderr* (or to
-    ``--profile-out FILE``) so piped CSV/JSON exports stay clean.
-``--runlog FILE``
-    (``classify``, ``snapshot``, ``refresh``) Persist a structured
-    NDJSON event ledger for the run — spans (including worker-side
-    spans from the thread/process pools), per-AS traces (implies
-    ``--trace``), resource samples, breaker transitions, and an
-    end-of-run summary embedding the full metrics registry.  Inspect
-    it later with ``repro report LEDGER``, diff two runs with ``repro
-    report --compare A B``, and gate on budgets with ``repro health
-    --slo slo.json LEDGER`` (exit 1 on SLO breach).
-
-Storage flags:
-
-``--store URL`` (``classify``, ``stats``)
-    Back the run's dataset with a pluggable store: ``sqlite:PATH``
-    (indexed, disk-backed, O(batch) memory), ``json:PATH``, or
-    ``memory:``.  Exports and summary output are byte-identical across
-    backends.  ``snapshot``/``refresh``/``diff`` spell the same flag
-    ``--dataset-store URL`` (their ``--store`` is the snapshot-store
-    directory); ``refresh`` reuses a populated sqlite store when its
-    digest matches the latest version, and ``diff --dataset-store``
-    streams both versions through scratch stores instead of holding
-    them in memory.
-
-``--sweep-batch N`` (``snapshot``, ``refresh``)
-    Stream the maintenance sweep's classify phase in windows of N
-    ASNs: the dataset store is flushed after each window, so a
-    store-backed sweep holds O(batch) records resident with
-    byte-identical results.
-
-Performance flags (``classify``):
-
-``--executor {thread,process}``
-    Batch executor for ``--workers N``: ``process`` chunks the
-    CPU-bound ML scoring stage over a process pool; output is
-    byte-identical either way.
-
-Resilience flags (``classify``):
-
-``--inject-faults [RATE]``
-    Wrap every source in deterministic fault injection (outages, rate
-    limits, malformed entries, latency spikes) at the given rate
-    (default 0.15) and run the pipeline through the retry/circuit-
-    breaker layer; sources that stay down are recorded on each
-    record's ``degraded_sources`` instead of crashing the run.
-``--retry N``
-    Retries per source lookup under ``--inject-faults`` (default 2).
+Exit semantics: 0 on success; 2 on a usage error (argparse rejects a
+malformed or out-of-range flag before any work starts) or an input the
+command cannot use; 1 when ``health`` finds a breached budget or
+``refresh`` reclassified something other than the churned set.  Output
+piped into ``head``/``less`` may close stdout early; the CLI treats the
+resulting broken pipe as deliberate truncation and exits 0 quietly (no
+traceback) where a SIGPIPE-killed process would report exit 141.
+Ctrl-C exits 130.
 """
 
 from __future__ import annotations
@@ -132,7 +87,7 @@ from .core.maintenance import MaintenanceDaemon
 from .core.persistence import write_csv, write_json
 from .core.resilience import RetryPolicy
 from .core.snapshots import SnapshotError, SnapshotStore, dataset_digest
-from .core.store import StoreError, diff_stores, open_store
+from .core.store import StoreError, open_store
 from .datasources.faults import FaultPlan
 from .evaluation import build_gold_standard, evaluate_stages
 from .obs import (
@@ -160,6 +115,66 @@ from .world import simulate_churn
 __all__ = ["main", "run", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a size or count that must be at least 1, so a
+    zero is a usage error before the command builds anything."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+#: Every flag that more than one subcommand takes, declared once as its
+#: ``add_argument`` keywords.  A key is the option string, plus the
+#: metavar where ``--store`` names a snapshot-store directory on some
+#: subcommands and a dataset-store URL on others.
+_FLAGS = {
+    "--n-orgs": dict(type=int, help="organizations in the generated world"),
+    "--seed": dict(type=int, help="seed of the world and the system"),
+    "--no-ml": dict(action="store_true", help="skip the ML pipeline stage"),
+    "--workers": dict(type=int, default=1,
+                      help="worker threads for the batch engine (output "
+                      "is byte-identical to --workers 1)"),
+    "--trace": dict(action="store_true",
+                    help="record a per-stage span trace for every AS"),
+    "--metrics-out": dict(metavar="FILE",
+                          help="write the metrics snapshot to FILE "
+                          "(Prometheus text, or JSON when FILE ends in "
+                          ".json)"),
+    "--runlog": dict(metavar="FILE",
+                     help="persist an NDJSON event ledger for the run "
+                     "(implies --trace where the command has it); "
+                     "inspect it with `repro report` / `repro health`"),
+    "--out": dict(help="output file: the dataset as .csv or .json, or "
+                  "`dump`'s bulk WHOIS"),
+    "--store URL": dict(metavar="URL",
+                        help="dataset store (sqlite:PATH, json:PATH, or "
+                        "memory:); exports are byte-identical to the "
+                        "in-memory default, and serve reopens it on "
+                        "each refresh swap"),
+    "--store DIR": dict(required=True, metavar="DIR",
+                        help="snapshot store directory"),
+    "--dataset-store": dict(metavar="URL",
+                            help="dataset store backend to work in "
+                            "(sqlite:PATH keeps O(batch) records "
+                            "resident); refresh reuses a non-empty store "
+                            "only when it matches the latest version's "
+                            "digest"),
+    "--sweep-batch": dict(type=_positive_int, metavar="N",
+                          help="stream the sweep's classify phase in "
+                          "windows of N ASNs (byte-identical results, "
+                          "O(batch) memory)"),
+    "--version": dict(type=int, metavar="V",
+                      help="snapshot version V (asof reconstructs it; "
+                      "serve pins it instead of following the latest)"),
+    "--from": dict(dest="from_version", type=int, metavar="V",
+                   help="older version (default: latest - 1)"),
+    "--to": dict(dest="to_version", type=int, metavar="V",
+                 help="newer version (default: latest)"),
+    "--json": dict(action="store_true", help="emit a JSON document"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -169,16 +184,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    classify = sub.add_parser(
-        "classify", help="classify every AS in a fresh world"
+    def command(name: str, summary: str, *flags: str, **defaults):
+        """Subcommand ``name`` taking the shared ``flags``; ``defaults``
+        maps a flag's dest to this subcommand's default."""
+        subparser = sub.add_parser(name, help=summary)
+        for flag in flags:
+            action = subparser.add_argument(flag.split()[0], **_FLAGS[flag])
+            action.default = defaults.get(action.dest, action.default)
+        return subparser
+
+    classify = command(
+        "classify", "classify every AS in a fresh world",
+        "--n-orgs", "--seed", "--no-ml", "--workers", "--out",
+        "--store URL", "--trace", "--metrics-out", "--runlog",
+        n_orgs=400, seed=42,
     )
-    classify.add_argument("--n-orgs", type=int, default=400)
-    classify.add_argument("--seed", type=int, default=42)
-    classify.add_argument("--no-ml", action="store_true",
-                          help="skip the ML pipeline stage")
-    classify.add_argument("--workers", type=int, default=1,
-                          help="worker threads for the batch engine "
-                          "(output is byte-identical to --workers 1)")
     classify.add_argument("--executor", default="thread",
                           choices=("thread", "process"),
                           help="batch executor: 'process' chunks the "
@@ -192,12 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument("--profile-out", default=None, metavar="FILE",
                           help="write the --profile narration to FILE "
                           "instead of stderr")
-    classify.add_argument("--out", default=None,
-                          help="write the dataset to a .csv or .json file")
-    classify.add_argument("--store", default=None, metavar="URL",
-                          help="dataset store backend (sqlite:PATH, "
-                          "json:PATH, or memory:); exports are "
-                          "byte-identical to the in-memory default")
     classify.add_argument("--inject-faults", nargs="?", const=0.15,
                           type=float, default=None, metavar="RATE",
                           help="inject deterministic source faults "
@@ -207,176 +221,79 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument("--retry", type=int, default=2, metavar="N",
                           help="retries per source lookup under "
                           "--inject-faults (default 2)")
-    _add_obs_flags(classify)
 
-    lookup = sub.add_parser("lookup", help="classify and explain one AS")
+    lookup = command(
+        "lookup", "classify and explain one AS",
+        "--n-orgs", "--seed", "--trace", "--metrics-out", "--runlog",
+        n_orgs=300, seed=9,
+    )
     lookup.add_argument("--asn", type=int, default=None,
                         help="ASN to look up (default: first with domain)")
-    lookup.add_argument("--n-orgs", type=int, default=300)
-    lookup.add_argument("--seed", type=int, default=9)
-    _add_obs_flags(lookup)
 
-    stats = sub.add_parser(
-        "stats",
-        help="run a classification pass and print pipeline metrics",
+    stats = command(
+        "stats", "run a classification pass and print pipeline metrics",
+        "--n-orgs", "--seed", "--no-ml", "--workers", "--store URL",
+        n_orgs=200, seed=42,
     )
-    stats.add_argument("--n-orgs", type=int, default=200)
-    stats.add_argument("--seed", type=int, default=42)
-    stats.add_argument("--no-ml", action="store_true",
-                       help="skip the ML pipeline stage")
     stats.add_argument("--format", default="summary",
                        choices=("summary", "prometheus", "json"),
                        help="metrics output format (default: summary table)")
-    stats.add_argument("--workers", type=int, default=1,
-                       help="worker threads for the classification pass")
-    stats.add_argument("--store", default=None, metavar="URL",
-                       help="dataset store backend (sqlite:PATH, "
-                       "json:PATH, or memory:); summary aggregates are "
-                       "pushed down to the backend's indexes")
 
-    evaluate = sub.add_parser(
-        "evaluate", help="gold-standard evaluation of the full system"
+    command(
+        "evaluate", "gold-standard evaluation of the full system",
+        "--n-orgs", "--seed", n_orgs=800, seed=33,
+    ).add_argument("--gold-size", type=int, default=150)
+
+    command("taxonomy", "print NAICSlite").add_argument(
+        "--layer1", default=None, help="restrict to one layer 1 slug"
     )
-    evaluate.add_argument("--n-orgs", type=int, default=800)
-    evaluate.add_argument("--seed", type=int, default=33)
-    evaluate.add_argument("--gold-size", type=int, default=150)
 
-    taxonomy = sub.add_parser("taxonomy", help="print NAICSlite")
-    taxonomy.add_argument("--layer1", default=None,
-                          help="restrict to one layer 1 slug")
-
-    snapshot = sub.add_parser(
-        "snapshot",
-        help="classify a fresh world and store release v1 in a "
+    sweep = ("--store DIR", "--workers", "--trace", "--metrics-out",
+             "--runlog", "--dataset-store", "--sweep-batch")
+    command(
+        "snapshot", "classify a fresh world and store release v1 in a "
         "versioned snapshot store",
-    )
-    snapshot.add_argument("--store", required=True, metavar="DIR",
-                          help="snapshot store directory (created if "
-                          "missing; must not already hold versions)")
-    snapshot.add_argument("--n-orgs", type=int, default=200)
-    snapshot.add_argument("--seed", type=int, default=42)
-    snapshot.add_argument("--no-ml", action="store_true",
-                          help="skip the ML pipeline stage")
-    snapshot.add_argument("--workers", type=int, default=1,
-                          help="worker threads for the batch engine")
-    snapshot.add_argument("--trace", action="store_true",
-                          help="record per-phase sweep spans")
-    snapshot.add_argument("--metrics-out", default=None, metavar="FILE",
-                          help="write the sweep metrics snapshot to FILE")
-    snapshot.add_argument("--runlog", default=None, metavar="FILE",
-                          help="persist an NDJSON event ledger for the "
-                          "run (implies --trace)")
-    snapshot.add_argument("--dataset-store", default=None, metavar="URL",
-                          help="dataset store backend for the sweep "
-                          "(sqlite:PATH, json:PATH, or memory:)")
-    snapshot.add_argument("--sweep-batch", type=int, default=None,
-                          metavar="N",
-                          help="stream the sweep's classify phase in "
-                          "windows of N ASNs (byte-identical results, "
-                          "O(batch) memory)")
-    snapshot.add_argument("--checkpoint-every", type=int, default=None,
-                          metavar="K",
-                          help="promote every K-th delta to a "
-                          "checkpoint (recorded in the manifest, so "
-                          "later refreshes keep the cadence); bounds "
-                          "as-of reconstruction to O(K) deltas")
+        "--n-orgs", "--seed", "--no-ml", *sweep, n_orgs=200, seed=42,
+    ).add_argument("--checkpoint-every", type=_positive_int, default=None,
+                   metavar="K",
+                   help="promote every K-th delta to a checkpoint "
+                   "(recorded in the manifest, so later refreshes keep "
+                   "the cadence); bounds as-of reconstruction to O(K) "
+                   "deltas")
 
-    refresh = sub.add_parser(
-        "refresh",
-        help="simulate churn and incrementally refresh a snapshot store",
+    refresh = command(
+        "refresh", "simulate churn and incrementally refresh a snapshot "
+        "store", *sweep,
     )
-    refresh.add_argument("--store", required=True, metavar="DIR")
     refresh.add_argument("--days", type=int, required=True,
                          help="days of registration/metadata churn to "
                          "simulate before the sweep")
     refresh.add_argument("--churn-seed", type=int, default=None,
                          help="seed for this churn epoch (default: the "
                          "epoch number)")
-    refresh.add_argument("--workers", type=int, default=1,
-                         help="worker threads for the sweep's batch pass")
-    refresh.add_argument("--trace", action="store_true",
-                         help="record per-phase sweep spans")
-    refresh.add_argument("--metrics-out", default=None, metavar="FILE",
-                         help="write the sweep metrics snapshot to FILE")
-    refresh.add_argument("--runlog", default=None, metavar="FILE",
-                         help="persist an NDJSON event ledger for the "
-                         "run (implies --trace)")
-    refresh.add_argument("--dataset-store", default=None, metavar="URL",
-                         help="dataset store backend for the sweep "
-                         "(sqlite:PATH, json:PATH, or memory:); a "
-                         "non-empty sqlite store matching the latest "
-                         "version's digest is reused without reloading")
-    refresh.add_argument("--sweep-batch", type=int, default=None,
-                         metavar="N",
-                         help="stream the sweep's classify phase in "
-                         "windows of N ASNs (byte-identical results, "
-                         "O(batch) memory)")
 
-    diff = sub.add_parser(
-        "diff", help="diff two stored dataset versions"
-    )
-    diff.add_argument("--store", required=True, metavar="DIR")
-    diff.add_argument("--dataset-store", default=None, metavar="URL",
-                      help="materialize both versions into scratch "
-                      "dataset stores derived from URL (e.g. "
-                      "sqlite:PATH) and diff them by streaming "
-                      "cursors instead of in memory")
-    diff.add_argument("--from", dest="from_version", type=int,
-                      default=None, metavar="V",
-                      help="older version (default: latest - 1)")
-    diff.add_argument("--to", dest="to_version", type=int, default=None,
-                      metavar="V", help="newer version (default: latest)")
-    diff.add_argument("--json", action="store_true",
-                      help="emit the diff as a JSON document")
+    command("diff", "diff two stored dataset versions",
+            "--store DIR", "--from", "--to", "--json")
 
-    asof = sub.add_parser(
-        "asof",
-        help="reconstruct the dataset as of a version or a day",
-    )
-    asof.add_argument("--store", required=True, metavar="DIR",
-                      help="snapshot store directory")
-    asof.add_argument("--version", type=int, default=None, metavar="V",
-                      help="reconstruct exactly version V")
-    asof.add_argument("--day", type=int, default=None, metavar="D",
-                      help="reconstruct the release in force on day D "
-                      "(the newest version whose sweep window closed "
-                      "at or before D)")
-    asof.add_argument("--out", default=None,
-                      help="write the reconstruction to a .csv or "
-                      ".json file")
-    asof.add_argument("--dataset-store", default=None, metavar="URL",
-                      help="materialize into this backend "
-                      "(sqlite:PATH keeps O(batch) records resident)")
+    command(
+        "asof", "reconstruct the dataset as of a version or a day",
+        "--store DIR", "--version", "--out", "--dataset-store",
+    ).add_argument("--day", type=int, default=None, metavar="D",
+                   help="reconstruct the release in force on day D (the "
+                   "newest version whose sweep window closed at or "
+                   "before D)")
 
-    timeline = sub.add_parser(
-        "timeline",
-        help="per-release classification trajectory of one AS",
-    )
-    timeline.add_argument("--store", required=True, metavar="DIR",
-                          help="snapshot store directory")
-    timeline.add_argument("--asn", type=int, required=True,
-                          help="ASN whose history to trace")
-    timeline.add_argument("--json", action="store_true",
-                          help="emit the trajectory as a JSON document")
+    command(
+        "timeline", "per-release classification trajectory of one AS",
+        "--store DIR", "--json",
+    ).add_argument("--asn", type=int, required=True,
+                   help="ASN whose history to trace")
 
-    churn = sub.add_parser(
-        "churn",
-        help="category-flow analytics between two releases",
-    )
-    churn.add_argument("--store", required=True, metavar="DIR",
-                       help="snapshot store directory")
-    churn.add_argument("--from", dest="from_version", type=int,
-                       default=None, metavar="V",
-                       help="older version (default: latest - 1)")
-    churn.add_argument("--to", dest="to_version", type=int,
-                       default=None, metavar="V",
-                       help="newer version (default: latest)")
-    churn.add_argument("--json", action="store_true",
-                       help="emit the report as a JSON document")
+    command("churn", "category-flow analytics between two releases",
+            "--store DIR", "--from", "--to", "--json")
 
-    report = sub.add_parser(
-        "report",
-        help="render a human-readable rollup from a run ledger",
+    report = command(
+        "report", "render a human-readable rollup from a run ledger"
     )
     report.add_argument("ledger", nargs="?", default=None,
                         help="NDJSON run ledger written with --runlog")
@@ -385,9 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="diff two ledgers instead (BENCH-style "
                         "regression table)")
 
-    health = sub.add_parser(
-        "health",
-        help="evaluate SLO budgets against a run ledger "
+    health = command(
+        "health", "evaluate SLO budgets against a run ledger "
         "(exit 1 on breach)",
     )
     health.add_argument("ledger",
@@ -396,9 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON SLO file (see docs/ARCHITECTURE.md "
                         "section 12)")
 
-    serve = sub.add_parser(
-        "serve",
-        help="serve the dataset over an async HTTP query API",
+    serve = command(
+        "serve", "serve the dataset over an async HTTP query API "
+        "(--n-orgs, --seed and --no-ml apply to fresh-world serving)",
+        "--store URL", "--version", "--n-orgs", "--seed", "--no-ml",
+        "--workers", "--metrics-out", "--runlog", n_orgs=200, seed=42,
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080,
@@ -409,32 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve the latest version of a snapshot "
                        "store; POST /refresh re-materializes so new "
                        "versions appear without a restart")
-    serve.add_argument("--version", type=int, default=None,
-                       help="pin a snapshot version (default: latest "
-                       "at each rebuild)")
-    serve.add_argument("--full-refresh", action="store_true",
-                       help="force POST /refresh to rebuild from "
-                       "scratch instead of delta-applying new "
-                       "releases onto the live index (snapshot "
-                       "serving only)")
-    serve.add_argument("--store", default=None, metavar="URL",
-                       help="serve an existing dataset store "
-                       "(sqlite:PATH / json:PATH); reopened on each "
-                       "refresh swap")
-    serve.add_argument("--n-orgs", type=int, default=200,
-                       help="world size when serving a fresh "
-                       "classification pass (no --snapshots/--store)")
-    serve.add_argument("--seed", type=int, default=42)
-    serve.add_argument("--no-ml", action="store_true",
-                       help="skip the ML pipeline stage (fresh-world "
-                       "serving only)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="worker threads for classification passes")
     serve.add_argument("--lazy", action="store_true",
                        help="start with an empty index and classify "
                        "on demand through the background queue "
                        "(fresh-world serving only)")
-    serve.add_argument("--queue-size", type=int, default=256,
+    serve.add_argument("--queue-size", type=_positive_int, default=256,
                        help="bound on the on-demand classification "
                        "queue; overflow answers 503 (default 256)")
     serve.add_argument("--queue-batch", type=int, default=16,
@@ -449,41 +346,50 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="S",
                        help="serve for S seconds then exit cleanly "
                        "(smoke tests; default: until interrupted)")
-    serve.add_argument("--metrics-out", default=None, metavar="FILE",
-                       help="write the final metrics snapshot to FILE "
-                       "on shutdown")
-    serve.add_argument("--runlog", default=None, metavar="FILE",
-                       help="persist serve.* events (start, swaps, "
-                       "queue drains, stop) to an NDJSON ledger")
 
-    dump = sub.add_parser(
-        "dump",
-        help="export a world's bulk WHOIS, or parse an existing dump",
-    )
-    dump.add_argument("--n-orgs", type=int, default=200)
-    dump.add_argument("--seed", type=int, default=42)
-    dump.add_argument("--out", default=None,
-                      help="write a synthetic bulk WHOIS dump here")
-    dump.add_argument("--parse", default=None, metavar="FILE",
-                      help="parse FILE instead and print field stats")
+    command(
+        "dump", "export a world's bulk WHOIS, or parse an existing dump",
+        "--n-orgs", "--seed", "--out", n_orgs=200, seed=42,
+    ).add_argument("--parse", default=None, metavar="FILE",
+                   help="parse FILE instead and print field stats")
     return parser
 
 
-def _add_obs_flags(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
-        "--trace", action="store_true",
-        help="record a per-stage span trace for every AS",
+def _world(args: argparse.Namespace):
+    """The world ``--n-orgs`` and ``--seed`` describe."""
+    return generate_world(WorldConfig(n_orgs=args.n_orgs, seed=args.seed))
+
+
+def _system_config(
+    args: argparse.Namespace,
+    registry: Optional[MetricsRegistry] = None,
+    runlog: RunLog = NULL_RUNLOG,
+    **fields: object,
+) -> SystemConfig:
+    """The one mapping from parsed flags to a :class:`SystemConfig`.
+
+    Each shared flag sets its field here, the same way on every
+    subcommand that takes it, and a flag the subcommand lacks leaves
+    the field at its default.  ``fields`` holds only what a command
+    decides otherwise: its store options, or the world recorded in a
+    snapshot store's meta.  The ledger embeds per-AS traces and
+    ``--profile`` aggregates them, so either implies ``--trace`` on a
+    subcommand that has the flag; ``serve`` has none and keeps per-AS
+    tracing off under ``--runlog``.
+    """
+    config = dict(
+        seed=getattr(args, "seed", 0),
+        train_ml=not getattr(args, "no_ml", False),
+        workers=getattr(args, "workers", 1),
+        trace=hasattr(args, "trace") and (
+            args.trace or runlog.enabled
+            or getattr(args, "profile", None) is not None
+        ),
+        metrics=registry,
+        runlog=runlog,
     )
-    subparser.add_argument(
-        "--metrics-out", default=None, metavar="FILE",
-        help="write the metrics snapshot to FILE (Prometheus text, or "
-        "JSON when FILE ends in .json)",
-    )
-    subparser.add_argument(
-        "--runlog", default=None, metavar="FILE",
-        help="persist an NDJSON event ledger for the run (implies "
-        "--trace); inspect with `repro report` / `repro health`",
-    )
+    config.update(fields)
+    return SystemConfig(**config)
 
 
 #: Arguments that only say where output goes: two runs that differ in
@@ -491,13 +397,16 @@ def _add_obs_flags(subparser: argparse.ArgumentParser) -> None:
 _DESTINATIONS = {"out", "metrics_out", "profile_out", "ready_file", "runlog"}
 
 
-def _open_runlog(args: argparse.Namespace, kind: str, world: dict):
+def _open_runlog(
+    args: argparse.Namespace, kind: str, world: Optional[dict] = None
+):
     """A real ledger when ``--runlog`` was passed, else the null one.
 
     The run's config stanza is the parsed CLI arguments minus the
     output destinations (``--out``, ``--metrics-out``, ``--profile-out``,
     ``--ready-file`` and the ledger path itself): two otherwise
     identical runs writing to different files share a config digest.
+    The world stanza defaults to the ``--n-orgs``/``--seed`` pair.
     """
     path = getattr(args, "runlog", None)
     if not path:
@@ -506,6 +415,8 @@ def _open_runlog(args: argparse.Namespace, kind: str, world: dict):
         key: value for key, value in sorted(vars(args).items())
         if key not in _DESTINATIONS
     }
+    if world is None:
+        world = {"n_orgs": args.n_orgs, "seed": args.seed}
     return RunLog(path, kind=kind, config=config, world=world)
 
 
@@ -583,6 +494,18 @@ def _write_metrics(registry: MetricsRegistry, path: str) -> None:
     print(f"wrote metrics snapshot to {path}")
 
 
+def _write_dataset(dataset, path: str) -> None:
+    """Write ``--out``: JSON when ``path`` ends in .json, else CSV.
+    Streamed record by record, so an export from a store-backed dataset
+    never materializes the document."""
+    with open(path, "w") as handle:
+        if path.endswith(".json"):
+            write_json(dataset, handle)
+        else:
+            write_csv(dataset, handle)
+    print(f"wrote {path}")
+
+
 def _record_traces(dataset):
     return (
         record.trace for record in dataset if record.trace is not None
@@ -608,7 +531,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         print("error: --out must end in .csv or .json", file=sys.stderr)
         return 2
     registry = MetricsRegistry()
-    world = generate_world(WorldConfig(n_orgs=args.n_orgs, seed=args.seed))
+    world = _world(args)
     faults = retry = None
     if args.inject_faults is not None:
         faults = FaultPlan.uniform(args.inject_faults, seed=args.seed)
@@ -618,27 +541,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             seed=args.seed, max_retries=max(0, args.retry),
             backoff_base=0.0,
         )
-    runlog = _open_runlog(args, "classify",
-                          {"n_orgs": args.n_orgs, "seed": args.seed})
-    # --profile aggregates trace spans and the ledger embeds per-AS
-    # traces, so either implies recording them.
-    trace = args.trace or args.profile is not None or runlog.enabled
+    runlog = _open_runlog(args, "classify")
     try:
-        built = build_asdb(
-            world,
-            SystemConfig(
-                seed=args.seed,
-                train_ml=not args.no_ml,
-                metrics=registry,
-                trace=trace,
-                workers=args.workers,
-                executor=args.executor,
-                faults=faults,
-                retry=retry,
-                runlog=runlog if runlog.enabled else None,
-                dataset_store=args.store,
-            ),
-        )
+        built = build_asdb(world, _system_config(
+            args, registry, runlog, executor=args.executor,
+            faults=faults, retry=retry, dataset_store=args.store,
+        ))
     except StoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -683,15 +591,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.metrics_out:
         _write_metrics(registry, args.metrics_out)
     if args.out:
-        # Streamed record by record: an export from a store-backed
-        # dataset never materializes the document (and the bytes are
-        # identical to the old whole-string write).
-        with open(args.out, "w") as handle:
-            if args.out.endswith(".json"):
-                write_json(dataset, handle)
-            else:
-                write_csv(dataset, handle)
-        print(f"wrote {args.out}")
+        _write_dataset(dataset, args.out)
     _finish_runlog(
         runlog, registry, built, dataset,
         asns=len(dataset), coverage=round(dataset.coverage(), 4),
@@ -702,17 +602,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_lookup(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
-    world = generate_world(WorldConfig(n_orgs=args.n_orgs, seed=args.seed))
-    runlog = _open_runlog(args, "lookup",
-                          {"n_orgs": args.n_orgs, "seed": args.seed})
-    built = build_asdb(
-        world,
-        SystemConfig(
-            seed=args.seed, metrics=registry,
-            trace=args.trace or runlog.enabled,
-            runlog=runlog if runlog.enabled else None,
-        ),
-    )
+    world = _world(args)
+    runlog = _open_runlog(args, "lookup")
+    built = build_asdb(world, _system_config(args, registry, runlog))
     asn = args.asn
     if asn is None:
         asn = next(
@@ -777,15 +669,10 @@ def _render_cache_layers(built, registry: MetricsRegistry) -> str:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
-    world = generate_world(WorldConfig(n_orgs=args.n_orgs, seed=args.seed))
     try:
-        built = build_asdb(
-            world,
-            SystemConfig(
-                seed=args.seed, train_ml=not args.no_ml, metrics=registry,
-                workers=args.workers, dataset_store=args.store,
-            ),
-        )
+        built = build_asdb(_world(args), _system_config(
+            args, registry, dataset_store=args.store
+        ))
     except StoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -806,15 +693,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    world = generate_world(WorldConfig(n_orgs=args.n_orgs, seed=args.seed))
+    world = _world(args)
     gold = build_gold_standard(world, size=args.gold_size, seed=0)
-    built = build_asdb(
-        world,
-        SystemConfig(
-            seed=args.seed,
-            exclude_asns_from_training=tuple(gold.asns()),
-        ),
-    )
+    built = build_asdb(world, _system_config(
+        args, exclude_asns_from_training=tuple(gold.asns())
+    ))
     dataset = built.asdb.classify_all()
     breakdown = evaluate_stages(dataset, gold)
     rows = [
@@ -854,25 +737,14 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
               f"version(s); use `repro refresh`", file=sys.stderr)
         return 2
     registry = MetricsRegistry()
-    world = generate_world(WorldConfig(n_orgs=args.n_orgs, seed=args.seed))
-    runlog = _open_runlog(args, "snapshot",
-                          {"n_orgs": args.n_orgs, "seed": args.seed})
+    runlog = _open_runlog(args, "snapshot")
     try:
-        built = build_asdb(
-            world,
-            SystemConfig(
-                seed=args.seed,
-                train_ml=not args.no_ml,
-                metrics=registry,
-                trace=args.trace or runlog.enabled,
-                workers=args.workers,
-                snapshot_dir=args.store,
-                runlog=runlog if runlog.enabled else None,
-                dataset_store=args.dataset_store,
-                sweep_batch_size=args.sweep_batch,
-                snapshot_checkpoint_every=args.checkpoint_every,
-            ),
-        )
+        built = build_asdb(_world(args), _system_config(
+            args, registry, runlog, snapshot_dir=args.store,
+            dataset_store=args.dataset_store,
+            sweep_batch_size=args.sweep_batch,
+            snapshot_checkpoint_every=args.checkpoint_every,
+        ))
     except (StoreError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -935,25 +807,15 @@ def _cmd_refresh(args: argparse.Namespace) -> int:
         "n_orgs": int(meta["n_orgs"]),
         "seed": int(meta["world_seed"]),
     })
-    built = build_asdb(
-        world,
-        SystemConfig(
-            seed=int(meta["world_seed"]),
-            train_ml=bool(meta.get("train_ml", True)),
-            metrics=registry,
-            trace=args.trace or runlog.enabled,
-            workers=args.workers,
-            snapshot_dir=args.store,
-            runlog=runlog if runlog.enabled else None,
-        ),
-    )
+    built = build_asdb(world, _system_config(
+        args, registry, runlog, seed=int(meta["world_seed"]),
+        train_ml=bool(meta.get("train_ml", True)), snapshot_dir=args.store,
+    ))
     store = built.snapshots
     if args.dataset_store is not None:
         try:
             dataset = open_store(
-                args.dataset_store,
-                metrics=registry,
-                runlog=runlog if runlog.enabled else None,
+                args.dataset_store, metrics=registry, runlog=runlog
             )
         except StoreError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -1017,17 +879,6 @@ def _format_asns(asns: Tuple[int, ...], limit: int = 12) -> str:
     return shown + (f", (+{extra} more)" if extra > 0 else "")
 
 
-def _store_scratch_url(url: str, tag: str) -> str:
-    """Derive a per-version scratch store URL (``sqlite:PATH`` ->
-    ``sqlite:PATH.TAG``); ``memory:`` stays as-is."""
-    scheme, _, rest = url.partition(":")
-    if scheme == "memory" or (scheme and not rest and url == "memory"):
-        return "memory:"
-    if rest:
-        return f"{scheme}:{rest}.{tag}"
-    return f"{url}.{tag}"
-
-
 def _cmd_diff(args: argparse.Namespace) -> int:
     store = _open_releases(args.store)
     if store is None:
@@ -1039,23 +890,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     if old is None:
         old = new - 1
     try:
-        if args.dataset_store is not None:
-            # Materialize each side into a scratch store, then diff by
-            # streaming both cursors through the ordered merge — the
-            # versions never sit in memory together.
-            old_ds = open_store(
-                _store_scratch_url(args.dataset_store, f"v{old}")
-            )
-            new_ds = open_store(
-                _store_scratch_url(args.dataset_store, f"v{new}")
-            )
-            store.load(old, into=old_ds)
-            store.load(new, into=new_ds)
-            diff = diff_stores(new_ds, old_ds)
-            old_ds.close()
-            new_ds.close()
-        else:
-            diff = store.diff(old, new)
+        diff = store.diff(old, new)
     except (SnapshotError, StoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1090,8 +925,7 @@ def _cmd_asof(args: argparse.Namespace) -> int:
         print("error: provide exactly one of --version or --day",
               file=sys.stderr)
         return 2
-    if args.out and not (args.out.endswith(".csv")
-                         or args.out.endswith(".json")):
+    if args.out and not args.out.endswith((".csv", ".json")):
         print("error: --out must end in .csv or .json", file=sys.stderr)
         return 2
     store = _open_releases(args.store)
@@ -1117,12 +951,7 @@ def _cmd_asof(args: argparse.Namespace) -> int:
     print(f"  records: {info.record_count}  digest: {info.digest} "
           f"(verified)")
     if args.out:
-        with open(args.out, "w") as handle:
-            if args.out.endswith(".json"):
-                write_json(dataset, handle)
-            else:
-                write_csv(dataset, handle)
-        print(f"wrote {args.out}")
+        _write_dataset(dataset, args.out)
     dataset.close()
     return 0
 
@@ -1277,9 +1106,8 @@ def _build_serving_app(args: argparse.Namespace, registry, runlog):
             print(f"error: {exc}", file=sys.stderr)
             return 2
         # Delta-apply refresh only makes sense tracking the latest
-        # release: a pinned --version always re-serves that version,
-        # and --full-refresh opts out explicitly.
-        incremental = args.version is None and not args.full_refresh
+        # release: a pinned --version always re-serves that version.
+        incremental = args.version is None
         return ServingApp(
             index, rebuild=rebuild, metrics=registry,
             runlog=runlog, retry_after=args.retry_after,
@@ -1322,18 +1150,8 @@ def _build_serving_app(args: argparse.Namespace, registry, runlog):
 
     # Fresh world: classify (unless --lazy), then serve with on-demand
     # classification through the bounded background queue.
-    world = generate_world(WorldConfig(n_orgs=args.n_orgs,
-                                       seed=args.seed))
-    built = build_asdb(
-        world,
-        SystemConfig(
-            seed=args.seed,
-            train_ml=not args.no_ml,
-            metrics=registry,
-            workers=args.workers,
-            runlog=runlog if runlog.enabled else None,
-        ),
-    )
+    built = build_asdb(_world(args),
+                       _system_config(args, registry, runlog))
     if not args.lazy:
         built.asdb.classify_all()
 
@@ -1422,7 +1240,7 @@ def _cmd_dump(args: argparse.Namespace) -> int:
         for fieldname, value in sorted(stats.items()):
             print(f"  {fieldname:8s} {value:.1%}")
         return 0
-    world = generate_world(WorldConfig(n_orgs=args.n_orgs, seed=args.seed))
+    world = _world(args)
     if not args.out:
         print("error: provide --out FILE or --parse FILE",
               file=sys.stderr)

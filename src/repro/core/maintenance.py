@@ -314,7 +314,7 @@ class MaintenanceDaemon:
                             "updated_asns": list(updated_asns),
                             "reclassified": len(changed),
                         },
-                        runlog=runlog if runlog.enabled else None,
+                        runlog=runlog,
                     )
                     version = info.version
                     span.set_status(f"v{version} ({info.kind})")

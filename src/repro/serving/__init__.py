@@ -106,13 +106,17 @@ def refresh_index_from_snapshots(
     correctly) and applied copy-on-write.  A lineage mismatch (store
     rewritten, an index without a snapshot digest) returns ``None``,
     and so does a chain holding a ``full`` save, so the caller
-    re-baselines through the digest-verified full rebuild.
+    re-baselines through the digest-verified full rebuild.  The
+    manifest alone shows a ``full`` save, so that answer reads no
+    document.
     """
     version = previous.version
-    chain = SnapshotStore(root).deltas_since(
-        version.snapshot_version or 0, version.digest
-    )
-    if chain is None or any(info.kind == "full" for info, _, _ in chain):
+    store = SnapshotStore(root)
+    served = version.snapshot_version or 0
+    if any(info.kind == "full" for info in store.versions()[served:]):
+        return None
+    chain = store.deltas_since(served, version.digest)
+    if chain is None:
         return None
     net_changed: Dict[int, dict] = {}
     net_removed: Dict[int, None] = {}

@@ -5,8 +5,8 @@ examples, tests, and benchmarks:
 
     >>> from repro import system, world
     >>> w = world.generate_world(world.WorldConfig(n_orgs=200))
-    >>> asdb = system.build_asdb(w)
-    >>> dataset = asdb.classify_all()
+    >>> built = system.build_asdb(w)
+    >>> dataset = built.asdb.classify_all()
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from repro import WorldConfig, generate_world
 from repro.cli import build_parser, main
 from repro.obs import read_ledger
 
@@ -25,6 +27,218 @@ class TestParser:
     def test_lookup_asn(self):
         args = build_parser().parse_args(["lookup", "--asn", "64512"])
         assert args.asn == 64512
+
+
+class TestFlagSurface:
+    """Every subcommand's flags, pinned: option strings, dest, default,
+    type, nargs, const, choices and required-ness.  The config stanza
+    of a run ledger is the parsed arguments, so a flag that moves or
+    changes here changes a ledger's ``config_digest`` too."""
+
+    SURFACE = {
+        "classify": [
+            (("--n-orgs",), "n_orgs", 400, "int", None, None, None, False),
+            (("--seed",), "seed", 42, "int", None, None, None, False),
+            (("--no-ml",), "no_ml", False, None, 0, True, None, False),
+            (("--workers",), "workers", 1, "int", None, None, None, False),
+            (("--executor",), "executor", "thread", None, None, None,
+             ("thread", "process"), False),
+            (("--profile",), "profile", None, "int", "?", 5, None, False),
+            (("--profile-out",), "profile_out", None, None, None, None, None,
+             False),
+            (("--out",), "out", None, None, None, None, None, False),
+            (("--store",), "store", None, None, None, None, None, False),
+            (("--inject-faults",), "inject_faults", None, "float", "?", 0.15,
+             None, False),
+            (("--retry",), "retry", 2, "int", None, None, None, False),
+            (("--trace",), "trace", False, None, 0, True, None, False),
+            (("--metrics-out",), "metrics_out", None, None, None, None, None,
+             False),
+            (("--runlog",), "runlog", None, None, None, None, None, False),
+        ],
+        "lookup": [
+            (("--asn",), "asn", None, "int", None, None, None, False),
+            (("--n-orgs",), "n_orgs", 300, "int", None, None, None, False),
+            (("--seed",), "seed", 9, "int", None, None, None, False),
+            (("--trace",), "trace", False, None, 0, True, None, False),
+            (("--metrics-out",), "metrics_out", None, None, None, None, None,
+             False),
+            (("--runlog",), "runlog", None, None, None, None, None, False),
+        ],
+        "stats": [
+            (("--n-orgs",), "n_orgs", 200, "int", None, None, None, False),
+            (("--seed",), "seed", 42, "int", None, None, None, False),
+            (("--no-ml",), "no_ml", False, None, 0, True, None, False),
+            (("--format",), "format", "summary", None, None, None,
+             ("summary", "prometheus", "json"), False),
+            (("--workers",), "workers", 1, "int", None, None, None, False),
+            (("--store",), "store", None, None, None, None, None, False),
+        ],
+        "evaluate": [
+            (("--n-orgs",), "n_orgs", 800, "int", None, None, None, False),
+            (("--seed",), "seed", 33, "int", None, None, None, False),
+            (("--gold-size",), "gold_size", 150, "int", None, None, None,
+             False),
+        ],
+        "taxonomy": [
+            (("--layer1",), "layer1", None, None, None, None, None, False),
+        ],
+        "snapshot": [
+            (("--store",), "store", None, None, None, None, None, True),
+            (("--n-orgs",), "n_orgs", 200, "int", None, None, None, False),
+            (("--seed",), "seed", 42, "int", None, None, None, False),
+            (("--no-ml",), "no_ml", False, None, 0, True, None, False),
+            (("--workers",), "workers", 1, "int", None, None, None, False),
+            (("--trace",), "trace", False, None, 0, True, None, False),
+            (("--metrics-out",), "metrics_out", None, None, None, None, None,
+             False),
+            (("--runlog",), "runlog", None, None, None, None, None, False),
+            (("--dataset-store",), "dataset_store", None, None, None, None,
+             None, False),
+            (("--sweep-batch",), "sweep_batch", None, "_positive_int", None,
+             None, None, False),
+            (("--checkpoint-every",), "checkpoint_every", None,
+             "_positive_int", None, None, None, False),
+        ],
+        "refresh": [
+            (("--store",), "store", None, None, None, None, None, True),
+            (("--days",), "days", None, "int", None, None, None, True),
+            (("--churn-seed",), "churn_seed", None, "int", None, None, None,
+             False),
+            (("--workers",), "workers", 1, "int", None, None, None, False),
+            (("--trace",), "trace", False, None, 0, True, None, False),
+            (("--metrics-out",), "metrics_out", None, None, None, None, None,
+             False),
+            (("--runlog",), "runlog", None, None, None, None, None, False),
+            (("--dataset-store",), "dataset_store", None, None, None, None,
+             None, False),
+            (("--sweep-batch",), "sweep_batch", None, "_positive_int", None,
+             None, None, False),
+        ],
+        "diff": [
+            (("--store",), "store", None, None, None, None, None, True),
+            (("--from",), "from_version", None, "int", None, None, None,
+             False),
+            (("--to",), "to_version", None, "int", None, None, None, False),
+            (("--json",), "json", False, None, 0, True, None, False),
+        ],
+        "asof": [
+            (("--store",), "store", None, None, None, None, None, True),
+            (("--version",), "version", None, "int", None, None, None, False),
+            (("--day",), "day", None, "int", None, None, None, False),
+            (("--out",), "out", None, None, None, None, None, False),
+            (("--dataset-store",), "dataset_store", None, None, None, None,
+             None, False),
+        ],
+        "timeline": [
+            (("--store",), "store", None, None, None, None, None, True),
+            (("--asn",), "asn", None, "int", None, None, None, True),
+            (("--json",), "json", False, None, 0, True, None, False),
+        ],
+        "churn": [
+            (("--store",), "store", None, None, None, None, None, True),
+            (("--from",), "from_version", None, "int", None, None, None,
+             False),
+            (("--to",), "to_version", None, "int", None, None, None, False),
+            (("--json",), "json", False, None, 0, True, None, False),
+        ],
+        "report": [
+            ((), "ledger", None, None, "?", None, None, False),
+            (("--compare",), "compare", None, None, 2, None, None, False),
+        ],
+        "health": [
+            ((), "ledger", None, None, None, None, None, True),
+            (("--slo",), "slo", None, None, None, None, None, True),
+        ],
+        "serve": [
+            (("--host",), "host", "127.0.0.1", None, None, None, None, False),
+            (("--port",), "port", 8080, "int", None, None, None, False),
+            (("--snapshots",), "snapshots", None, None, None, None, None,
+             False),
+            (("--version",), "version", None, "int", None, None, None, False),
+            (("--store",), "store", None, None, None, None, None, False),
+            (("--n-orgs",), "n_orgs", 200, "int", None, None, None, False),
+            (("--seed",), "seed", 42, "int", None, None, None, False),
+            (("--no-ml",), "no_ml", False, None, 0, True, None, False),
+            (("--workers",), "workers", 1, "int", None, None, None, False),
+            (("--lazy",), "lazy", False, None, 0, True, None, False),
+            (("--queue-size",), "queue_size", 256, "_positive_int", None,
+             None, None, False),
+            (("--queue-batch",), "queue_batch", 16, "int", None, None, None,
+             False),
+            (("--retry-after",), "retry_after", 1, "int", None, None, None,
+             False),
+            (("--ready-file",), "ready_file", None, None, None, None, None,
+             False),
+            (("--max-seconds",), "max_seconds", None, "float", None, None,
+             None, False),
+            (("--metrics-out",), "metrics_out", None, None, None, None, None,
+             False),
+            (("--runlog",), "runlog", None, None, None, None, None, False),
+        ],
+        "dump": [
+            (("--n-orgs",), "n_orgs", 200, "int", None, None, None, False),
+            (("--seed",), "seed", 42, "int", None, None, None, False),
+            (("--out",), "out", None, None, None, None, None, False),
+            (("--parse",), "parse", None, None, None, None, None, False),
+        ],
+    }
+
+    @staticmethod
+    def _row(action):
+        return (tuple(action.option_strings), action.dest, action.default,
+                getattr(action.type, "__name__", None), action.nargs,
+                action.const, action.choices, action.required)
+
+    def test_every_subcommand_and_flag(self):
+        parser = build_parser()
+        subparsers = next(
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        actual = {
+            name: {
+                action.dest: self._row(action)
+                for action in subparser._actions
+                if not isinstance(action, argparse._HelpAction)
+            }
+            for name, subparser in subparsers.choices.items()
+        }
+        assert actual == {
+            name: {row[1]: row for row in rows}
+            for name, rows in self.SURFACE.items()
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["diff", "--store", "releases", "--dataset-store", "sqlite:x"],
+        ["serve", "--full-refresh"],
+    ], ids=["diff--dataset-store", "serve--full-refresh"])
+    def test_deleted_flags_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["refresh", "--store", "{}", "--days", "1", "--sweep-batch", "0"],
+        ["snapshot", "--store", "{}", "--sweep-batch", "0"],
+        ["snapshot", "--store", "{}", "--checkpoint-every", "0"],
+        ["serve", "--n-orgs", "20", "--no-ml", "--queue-size", "0"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_zero_size_is_a_usage_error(self, tmp_path, capsys, argv):
+        """Each is refused before any work, with one usage line; the
+        refresh runs against a real release, so only the flag's type
+        stands between it and the sweep."""
+        store = str(tmp_path / "releases")
+        assert main(["snapshot", "--store", store, "--n-orgs", "20",
+                     "--seed", "3", "--no-ml"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main([store if arg == "{}" else arg for arg in argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be >= 1, got 0" in err
+        assert "Traceback" not in err
 
 
 class TestTaxonomyCommand:
@@ -420,53 +634,111 @@ class TestRunWrapper:
 
 
 class TestServeCommand:
-    """Satellite of the tentpole: `repro serve` over a snapshot dir."""
+    """`repro serve` from each source, driven through `main`."""
 
     def _snapshot(self, tmp_path):
-        from repro.core import SnapshotStore
-
         assert main([
             "snapshot", "--n-orgs", "30", "--seed", "5", "--no-ml",
             "--store", str(tmp_path / "releases"),
         ]) == 0
         return str(tmp_path / "releases")
 
-    def test_serve_snapshots_end_to_end(self, tmp_path, capsys):
+    def _serve(self, tmp_path, *argv, seconds=15):
+        """Start `serve ARGV` on an ephemeral port in a thread; return
+        the thread, its exit-code list, and a connection to it."""
         import http.client
         import threading
         import time
 
-        root = self._snapshot(tmp_path)
-        capsys.readouterr()
         ready = tmp_path / "ready"
         exit_codes = []
         thread = threading.Thread(
             target=lambda: exit_codes.append(main([
-                "serve", "--snapshots", root, "--port", "0",
-                "--ready-file", str(ready), "--max-seconds", "15",
+                "serve", *argv, "--port", "0", "--ready-file",
+                str(ready), "--max-seconds", str(seconds),
             ])),
             daemon=True,
         )
         thread.start()
-        deadline = time.time() + 10
+        deadline = time.time() + 30
         while not ready.exists() and time.time() < deadline:
             time.sleep(0.05)
         assert ready.exists(), "server never wrote the ready file"
         host, port = ready.read_text().split()
-        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        return thread, exit_codes, http.client.HTTPConnection(
+            host, int(port), timeout=10
+        )
+
+    @staticmethod
+    def _get(conn, path):
+        conn.request("GET", path)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+
+    def test_serve_snapshots_end_to_end(self, tmp_path, capsys):
+        root = self._snapshot(tmp_path)
+        capsys.readouterr()
+        _, _, conn = self._serve(tmp_path, "--snapshots", root)
         try:
-            conn.request("GET", "/healthz")
-            response = conn.getresponse()
-            assert response.status == 200
-            body = json.loads(response.read())
+            status, body = self._get(conn, "/healthz")
+            assert status == 200
             assert body["status"] == "ok"
-            conn.request("GET", "/version")
-            version = json.loads(conn.getresponse().read())
+            _, version = self._get(conn, "/version")
             assert version["snapshot_version"] == 1
             assert version["records"] > 0
         finally:
             conn.close()
         # thread keeps serving until --max-seconds; don't join it here.
+
+    def test_serve_dataset_store(self, tmp_path, capsys):
+        url = f"sqlite:{tmp_path / 'asdb.sqlite'}"
+        assert main(["classify", "--n-orgs", "30", "--seed", "5",
+                     "--no-ml", "--store", url]) == 0
+        asn = generate_world(WorldConfig(n_orgs=30, seed=5)).asns()[0]
+        thread, exit_codes, conn = self._serve(
+            tmp_path, "--store", url, seconds=3
+        )
+        try:
+            status, body = self._get(conn, "/healthz")
+            assert status == 200 and body["status"] == "ok"
+            status, body = self._get(conn, f"/asn/{asn}")
+            assert status == 200
+            assert body["record"]["asn"] == asn
+        finally:
+            conn.close()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and exit_codes == [0]
+
+    def test_serve_lazy_classifies_on_demand(self, tmp_path, capsys):
+        """An unknown ASN answers 202 and then 200 once the queue has
+        drained; a ledger records the drain but no per-AS traces:
+        `serve` has no --trace, so --runlog does not turn tracing on."""
+        import time
+
+        asn = generate_world(WorldConfig(n_orgs=30, seed=5)).asns()[0]
+        ledger = tmp_path / "serve.ndjson"
+        thread, exit_codes, conn = self._serve(
+            tmp_path, "--lazy", "--n-orgs", "30", "--seed", "5",
+            "--no-ml", "--runlog", str(ledger), seconds=5,
+        )
+        try:
+            status, body = self._get(conn, "/healthz")
+            assert status == 200 and body["status"] == "ok"
+            status, body = self._get(conn, f"/asn/{asn}")
+            assert status == 202 and body["asn"] == asn
+            deadline = time.time() + 4
+            while status == 202 and time.time() < deadline:
+                time.sleep(0.05)
+                status, body = self._get(conn, f"/asn/{asn}")
+            assert status == 200
+            assert body["record"]["asn"] == asn
+        finally:
+            conn.close()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and exit_codes == [0]
+        events = [event["event"] for event in read_ledger(str(ledger))]
+        assert "serve.queue" in events
+        assert "as.trace" not in events
 
     def test_serve_requires_exactly_one_source(self, tmp_path, capsys):
         assert main([
@@ -480,6 +752,7 @@ class TestServeCommand:
         capsys.readouterr()
         assert main(["serve", "--snapshots", root, "--lazy"]) == 2
         assert "--lazy" in capsys.readouterr().err
+
 
 class TestTemporalCommands:
     """asof / timeline / churn drive the temporal query layer."""

@@ -1027,6 +1027,29 @@ class TestIncrementalRefresh:
         assert deep.version.snapshot_version == 2
         assert refresh_index_from_snapshots(tiny_root, deep, 2) is None
 
+    def test_full_save_refusal_reads_no_document(
+        self, tmp_path, monkeypatch
+    ):
+        """A chain with a later full save is refused from the manifest:
+        neither the delta nor the full document is read for an answer
+        that forces the full rebuild anyway."""
+        root = str(tmp_path / "releases")
+        store = SnapshotStore(root)
+        store.save(_dataset([_record(1)]))
+        index = index_from_snapshots(root, generation=1)
+        store.save(_dataset([_record(1), _record(2)]))
+        store.save(_dataset([_record(2), _record(3)]), full=True)
+        reads = []
+        read_file = SnapshotStore._read_file
+
+        def counting(self, filename, version):
+            reads.append(filename)
+            return read_file(self, filename, version)
+
+        monkeypatch.setattr(SnapshotStore, "_read_file", counting)
+        assert refresh_index_from_snapshots(root, index, 2) is None
+        assert reads == []
+
     def test_no_new_versions_is_a_valid_noop_refresh(self, tmp_path):
         """Refreshing against an unchanged store still succeeds
         incrementally and produces an equal (next-generation) index."""
