@@ -129,10 +129,11 @@ def _positive_int(text: str) -> int:
 #: metavar where ``--store`` names a snapshot-store directory on some
 #: subcommands and a dataset-store URL on others.
 _FLAGS = {
-    "--n-orgs": dict(type=int, help="organizations in the generated world"),
+    "--n-orgs": dict(type=_positive_int,
+                     help="organizations in the generated world"),
     "--seed": dict(type=int, help="seed of the world and the system"),
     "--no-ml": dict(action="store_true", help="skip the ML pipeline stage"),
-    "--workers": dict(type=int, default=1,
+    "--workers": dict(type=_positive_int, default=1,
                       help="worker threads for the batch engine (output "
                       "is byte-identical to --workers 1)"),
     "--trace": dict(action="store_true",
@@ -199,11 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--store URL", "--trace", "--metrics-out", "--runlog",
         n_orgs=400, seed=42,
     )
-    classify.add_argument("--executor", default="thread",
-                          choices=("thread", "process"),
-                          help="batch executor: 'process' chunks the "
-                          "CPU-bound ML scoring over a process pool "
-                          "(output is byte-identical to 'thread')")
     classify.add_argument("--profile", nargs="?", const=5, type=int,
                           default=None, metavar="N",
                           help="print the top-N slowest pipeline stages "
@@ -544,8 +540,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     runlog = _open_runlog(args, "classify")
     try:
         built = build_asdb(world, _system_config(
-            args, registry, runlog, executor=args.executor,
-            faults=faults, retry=retry, dataset_store=args.store,
+            args, registry, runlog, faults=faults, retry=retry,
+            dataset_store=args.store,
         ))
     except StoreError as exc:
         print(f"error: {exc}", file=sys.stderr)

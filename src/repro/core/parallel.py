@@ -56,7 +56,6 @@ note how many queries, domains or contacts it served.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -67,9 +66,8 @@ from ..obs.trace import trace_builder
 from .cache import org_cache_key
 from .database import ASdbRecord
 from .pipeline import REQUEST_ASN_MATCH, REQUEST_ML, REQUEST_SOURCES
-from .procpool import map_chunked
 
-__all__ = ["Cluster", "plan_clusters", "run_batch", "map_chunked"]
+__all__ = ["Cluster", "plan_clusters", "run_batch"]
 
 
 @dataclass(frozen=True)
@@ -225,7 +223,6 @@ def run_batch(
             workers=workers,
             asns=sum(len(cluster.members) for cluster in clusters),
             clusters=len(clusters),
-            executor=asdb._executor,
         )
         batch_id = batch_span.span_id
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -267,8 +264,8 @@ def run_batch(
                 ]
                 while pending:
                     _serve_round(
-                        asdb, pool, pending, m_phase_seconds, workers,
-                        runlog, batch_id,
+                        asdb, pool, pending, m_phase_seconds, runlog,
+                        batch_id,
                     )
                     pending = [
                         state for state in pending
@@ -339,18 +336,12 @@ def _classify_chain(
 
 
 def _serve_round(
-    asdb, pool, pending, m_phase_seconds, workers, runlog, parent_id,
+    asdb, pool, pending, m_phase_seconds, runlog, parent_id,
 ) -> None:
     """Serve one round of suspended requests, one bulk call per kind.
 
-    With the ``"process"`` executor configured on the system, the ML
-    bulk call chunks its CPU-bound scoring over ``workers`` processes
-    (see :mod:`repro.core.procpool`); every other stage stays on the
-    thread pool, where the I/O-shaped work already scales.  With a
-    ledger configured, each bulk phase writes a ``batch.<phase>`` span
-    under the batch span, and the ML phase writes one
-    ``procpool.chunk`` span per process-pool chunk under its own, from
-    the timing tuples the pool returns.
+    With a ledger configured, each bulk phase writes a
+    ``batch.<phase>`` span under the batch span.
     """
     by_kind: Dict[str, List] = {}
     for state in pending:
@@ -371,15 +362,9 @@ def _serve_round(
         with m_phase_seconds.time(phase="ml"), \
                 runlog.span("batch.ml", parent=parent_id) as span:
             span.note(domains=len(waiting))
-            chunks: List[Tuple] = []
             verdicts = asdb._ml.classify_domains(
-                [state.request[1] for state in waiting],
-                process_workers=(
-                    workers if asdb._executor == "process" else 0
-                ),
-                chunk_times=chunks,
+                [state.request[1] for state in waiting]
             )
-            _write_chunk_spans(runlog, span.span_id, chunks)
             replies.extend(zip(waiting, verdicts))
 
     waiting = by_kind.get(REQUEST_SOURCES, ())
@@ -396,26 +381,6 @@ def _serve_round(
         list(pool.map(
             lambda pair: pair[0].advance(pair[1]), replies
         ))
-
-
-def _write_chunk_spans(runlog, parent_id, chunks: Sequence[Tuple]) -> None:
-    """One ``procpool.chunk`` ledger span per timing tuple that
-    :func:`~repro.core.procpool.map_chunked` returned; a chunk scored
-    in this process is marked ``main``, a pool worker's ``process``."""
-    here = os.getpid()
-    for chunk, items, seconds, pid, process in chunks:
-        runlog.emit_span(
-            "procpool.chunk",
-            seconds,
-            parent=parent_id,
-            status="ok",
-            attributes={"items": items, "chunk": chunk},
-            worker={
-                "kind": "main" if pid == here else "process",
-                "name": process,
-                "pid": pid,
-            },
-        )
 
 
 def _asn_lookup_many(asdb, queries: Sequence[Query]) -> List[Tuple]:

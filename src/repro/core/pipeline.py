@@ -89,11 +89,6 @@ class ASdb:
         trace: Attach a per-stage span trace to every record.
         workers: Default worker count for :meth:`classify_all`; above 1
             the whole-registry pass runs through the batch engine.
-        executor: ``"thread"`` (default) runs the batch engine purely on
-            a thread pool; ``"process"`` additionally chunks the
-            CPU-bound ML scoring stage over a process pool of the same
-            worker count (output stays byte-identical — see
-            :mod:`repro.core.procpool`).
         runlog: Optional :class:`~repro.obs.runlog.RunLog` event ledger;
             every classification emits an ``as.trace`` event (when
             tracing is on) and the batch engine emits phase/worker
@@ -112,13 +107,8 @@ class ASdb:
         metrics: Optional[MetricsRegistry] = None,
         trace: bool = False,
         workers: int = 1,
-        executor: str = "thread",
         runlog=None,
     ) -> None:
-        if executor not in ("thread", "process"):
-            raise ValueError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
-            )
         self._registry = registry
         self._resolver = resolver
         self._peeringdb = instrument_source(peeringdb, metrics)
@@ -128,7 +118,6 @@ class ASdb:
         self._use_cache = use_cache
         self._trace_enabled = trace
         self._workers = max(1, workers)
-        self._executor = executor
         self.runlog = runlog if runlog is not None else NULL_RUNLOG
         self._trace_tags: Dict[str, object] = {}
         self.metrics = metrics if metrics is not None else NULL_REGISTRY

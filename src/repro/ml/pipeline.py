@@ -90,10 +90,9 @@ class TextScorer:
     """The pipeline's frozen scoring head: translated text -> scores.
 
     Holds only fitted model state (vocabulary dict, IDF vector, SGD
-    weights) — all plain dicts/ndarrays — so it pickles cheaply to the
-    process-pool workers.  Local and remote scoring run this same
-    ``score`` method, so scores are bit-identical regardless of where
-    they were computed.
+    weights).  The scalar and batch paths both score through this one
+    ``score`` method, and every transform in it is row-independent, so
+    a text's scores do not depend on what else was in its batch.
     """
 
     __slots__ = ("_vectorizer", "_tfidf", "_isp", "_hosting")
@@ -116,14 +115,6 @@ class TextScorer:
             (float(isp), float(hosting))
             for isp, hosting in zip(isp_scores, hosting_scores)
         ]
-
-
-def _score_chunk(
-    scorer: TextScorer, texts: Sequence[str]
-) -> List[Tuple[float, float]]:
-    """Module-level chunk job for :func:`repro.core.procpool.map_chunked`
-    (must be picklable by reference)."""
-    return scorer.score(texts)
 
 
 class WebClassificationPipeline:
@@ -210,24 +201,6 @@ class WebClassificationPipeline:
         """The content-addressed score cache (hit/miss stats, clear)."""
         return self._featcache
 
-    def export_scorer(self) -> TextScorer:
-        """The fitted scoring head (picklable; used by the process
-        executor and by anything wanting scores without scraping)."""
-        if not self._fitted:
-            raise RuntimeError("pipeline is not fitted")
-        return self._scorer
-
-    def _featurize(self, texts: Sequence[str], fit: bool):
-        if fit:
-            counts = self._vectorizer.fit_transform(texts)
-        else:
-            counts = self._vectorizer.transform(texts)
-        if self._tfidf is None:
-            return counts
-        if fit:
-            return self._tfidf.fit_transform(counts)
-        return self._tfidf.transform(counts)
-
     def fit(self, examples: Sequence[TrainingExample]) -> "WebClassificationPipeline":
         """Scrape and train on labeled domains.
 
@@ -246,7 +219,9 @@ class WebClassificationPipeline:
             hosting_labels.append(example.is_hosting)
         if not texts:
             raise ValueError("no scrapable training examples")
-        features = self._featurize(texts, fit=True)
+        features = self._vectorizer.fit_transform(texts)
+        if self._tfidf is not None:
+            features = self._tfidf.fit_transform(features)
         self._isp.fit(features, isp_labels)
         self._hosting.fit(features, hosting_labels)
         self._fitted = True
@@ -279,19 +254,15 @@ class WebClassificationPipeline:
         )
 
     def _scores_for_raw(
-        self,
-        raws: Sequence[RawScrape],
-        process_workers: int = 0,
-        chunk_times=None,
+        self, raws: Sequence[RawScrape]
     ) -> List[Tuple[float, float]]:
         """Scores for non-empty raw scrapes, via the content cache.
 
         Digest hits skip translation, featurization, and scoring
-        entirely; misses are translated and scored as one batch —
-        in-process, or chunked over ``process_workers`` processes when
-        asked.  Both paths run :meth:`TextScorer.score`, and every
-        transform is row/element independent, so the values are
-        bit-identical to scoring each text alone.
+        entirely; misses are translated and scored as one
+        :meth:`TextScorer.score` batch, and every transform is
+        row/element independent, so the values are bit-identical to
+        scoring each text alone.
         """
         digests = [content_digest(raw.raw_text) for raw in raws]
         scores: List[Optional[Tuple[float, float]]] = []
@@ -309,17 +280,7 @@ class WebClassificationPipeline:
             translated = self._scraper.translate_texts(
                 [raws[index].raw_text for index in miss_positions]
             )
-            if process_workers > 1 and len(translated) > 1:
-                # Imported lazily: repro.core imports repro.ml at
-                # package-init time, not the other way around.
-                from ..core.procpool import map_chunked
-
-                computed = map_chunked(
-                    _score_chunk, self._scorer, translated, process_workers,
-                    chunk_times=chunk_times,
-                )
-            else:
-                computed = self._scorer.score(translated)
+            computed = self._scorer.score(translated)
             for index, pair in zip(miss_positions, computed):
                 scores[index] = pair
                 self._featcache.put(digests[index], pair)
@@ -346,10 +307,7 @@ class WebClassificationPipeline:
         return verdict
 
     def classify_domains(
-        self,
-        domains: Sequence[str],
-        process_workers: int = 0,
-        chunk_times=None,
+        self, domains: Sequence[str]
     ) -> List[ClassifierVerdict]:
         """Batch :meth:`classify_domain`: one raw-scrape pass, one
         content-cache probe, then one translate + vectorizer + TF-IDF +
@@ -358,13 +316,9 @@ class WebClassificationPipeline:
         Elementwise identical to the scalar path: every transform in the
         stack (count vectorization, TF-IDF weighting with per-row L2
         normalization, SGD decision scores) is row-independent, so the
-        scores for a text do not depend on what else is in the batch —
-        or, with ``process_workers > 1``, on which process scored it.
+        scores for a text do not depend on what else is in the batch.
         Verdict-outcome counters tick per domain as in the scalar path;
-        latency lands in ``asdb_ml_batch_seconds``.  A ``chunk_times``
-        list collects the process pool's per-chunk timing tuples (see
-        :func:`repro.core.procpool.map_chunked`); it stays empty when
-        scoring ran in-process.
+        latency lands in ``asdb_ml_batch_seconds``.
         """
         if not self._fitted:
             raise RuntimeError("pipeline is not fitted")
@@ -383,11 +337,7 @@ class WebClassificationPipeline:
                 positions.append(index)
                 pending.append(raw)
         if pending:
-            scores = self._scores_for_raw(
-                pending,
-                process_workers=process_workers,
-                chunk_times=chunk_times,
-            )
+            scores = self._scores_for_raw(pending)
             for index, (isp_score, hosting_score) in zip(positions, scores):
                 verdicts[index] = self._verdict(
                     domains[index], isp_score, hosting_score

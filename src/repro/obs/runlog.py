@@ -23,9 +23,8 @@ seconds since the run started.  Core event types:
 ``span``
     One completed operation: ``span_id``, ``parent_id``, ``name``,
     ``duration``, ``status``, ``attributes``, and a ``worker`` stanza
-    (kind ``main``/``thread``/``process``, thread name or pid) so
-    events emitted from pool workers stitch into one causal tree under
-    the run id.
+    (kind ``main``/``thread``, thread name and pid) so events emitted
+    from pool threads stitch into one causal tree under the run id.
 ``as.trace``
     One AS's :class:`~repro.obs.trace.ClassificationTrace` (spans,
     error, tags) — the per-stage substrate ``repro report`` aggregates.
@@ -47,10 +46,8 @@ materialization, and ``serve.stop``.
 :meth:`RunLog.emit_span` is the only writer of ``span`` events, and
 every span id comes from the ledger's one counter.  Context-managed
 spans (:meth:`RunLog.span`, the in-flight span of
-:mod:`repro.obs.trace`) end through it; thread-pool workers call it
-directly (the ledger is lock-protected); process-pool chunks come back
-from :func:`repro.core.procpool.map_chunked` as plain timing tuples and
-the parent writes each one through it.
+:mod:`repro.obs.trace`) end through it, and thread-pool workers call it
+directly (the ledger is lock-protected).
 
 Like every ``repro.obs`` facility the ledger is opt-in and inert by
 default: :data:`NULL_RUNLOG` is a ``RunLog`` with no path, which opens
@@ -232,7 +229,6 @@ class RunLog:
         parent: Optional[str] = None,
         status: str = "",
         attributes: Optional[Mapping[str, object]] = None,
-        worker: Optional[Mapping[str, object]] = None,
         span_id: Optional[str] = None,
     ) -> None:
         """Write one completed ``span`` event — the ledger's only span
@@ -240,9 +236,8 @@ class RunLog:
 
         The id comes from the ledger's counter unless ``span_id``
         carries one already drawn from it (a context-managed span, whose
-        children needed its id before it finished).  ``worker`` defaults
-        to the calling thread's stanza; the batch engine passes a
-        process-pool chunk's own.
+        children needed its id before it finished).  The ``worker``
+        stanza is the calling thread's.
         """
         if not self.enabled:
             return
@@ -254,7 +249,7 @@ class RunLog:
             duration=duration,
             status=status,
             attributes=attributes or {},
-            worker=worker or self.worker_stanza(),
+            worker=self.worker_stanza(),
         )
 
     def span(self, name: str, parent: Optional[str] = None):

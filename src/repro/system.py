@@ -54,10 +54,6 @@ class SystemConfig:
         workers: Default worker count for ``classify_all``; above 1 the
             whole-registry pass runs through the batch engine (output
             stays byte-identical to the sequential pass).
-        executor: ``"thread"`` (default) or ``"process"`` — the latter
-            chunks the batch engine's CPU-bound ML scoring over a
-            process pool of ``workers`` processes; output stays
-            byte-identical either way.
         faults: Fault-injection plan applied to every source (testing /
             chaos runs); None leaves the sources untouched.
         retry: Retry/breaker policy wrapped around every source.  None
@@ -103,7 +99,6 @@ class SystemConfig:
     metrics: Optional[MetricsRegistry] = None
     trace: bool = False
     workers: int = 1
-    executor: str = "thread"
     faults: Optional[FaultPlan] = None
     retry: Optional[RetryPolicy] = None
     snapshot_dir: Optional[str] = None
@@ -227,7 +222,6 @@ def build_asdb(
         metrics=config.metrics,
         trace=config.trace,
         workers=config.workers,
-        executor=config.executor,
         runlog=config.runlog,
     )
     if config.dataset_store is not None:

@@ -37,12 +37,12 @@ class TestFlagSurface:
 
     SURFACE = {
         "classify": [
-            (("--n-orgs",), "n_orgs", 400, "int", None, None, None, False),
+            (("--n-orgs",), "n_orgs", 400, "_positive_int", None, None, None,
+             False),
             (("--seed",), "seed", 42, "int", None, None, None, False),
             (("--no-ml",), "no_ml", False, None, 0, True, None, False),
-            (("--workers",), "workers", 1, "int", None, None, None, False),
-            (("--executor",), "executor", "thread", None, None, None,
-             ("thread", "process"), False),
+            (("--workers",), "workers", 1, "_positive_int", None, None, None,
+             False),
             (("--profile",), "profile", None, "int", "?", 5, None, False),
             (("--profile-out",), "profile_out", None, None, None, None, None,
              False),
@@ -58,7 +58,8 @@ class TestFlagSurface:
         ],
         "lookup": [
             (("--asn",), "asn", None, "int", None, None, None, False),
-            (("--n-orgs",), "n_orgs", 300, "int", None, None, None, False),
+            (("--n-orgs",), "n_orgs", 300, "_positive_int", None, None, None,
+             False),
             (("--seed",), "seed", 9, "int", None, None, None, False),
             (("--trace",), "trace", False, None, 0, True, None, False),
             (("--metrics-out",), "metrics_out", None, None, None, None, None,
@@ -66,16 +67,19 @@ class TestFlagSurface:
             (("--runlog",), "runlog", None, None, None, None, None, False),
         ],
         "stats": [
-            (("--n-orgs",), "n_orgs", 200, "int", None, None, None, False),
+            (("--n-orgs",), "n_orgs", 200, "_positive_int", None, None, None,
+             False),
             (("--seed",), "seed", 42, "int", None, None, None, False),
             (("--no-ml",), "no_ml", False, None, 0, True, None, False),
             (("--format",), "format", "summary", None, None, None,
              ("summary", "prometheus", "json"), False),
-            (("--workers",), "workers", 1, "int", None, None, None, False),
+            (("--workers",), "workers", 1, "_positive_int", None, None, None,
+             False),
             (("--store",), "store", None, None, None, None, None, False),
         ],
         "evaluate": [
-            (("--n-orgs",), "n_orgs", 800, "int", None, None, None, False),
+            (("--n-orgs",), "n_orgs", 800, "_positive_int", None, None, None,
+             False),
             (("--seed",), "seed", 33, "int", None, None, None, False),
             (("--gold-size",), "gold_size", 150, "int", None, None, None,
              False),
@@ -85,10 +89,12 @@ class TestFlagSurface:
         ],
         "snapshot": [
             (("--store",), "store", None, None, None, None, None, True),
-            (("--n-orgs",), "n_orgs", 200, "int", None, None, None, False),
+            (("--n-orgs",), "n_orgs", 200, "_positive_int", None, None, None,
+             False),
             (("--seed",), "seed", 42, "int", None, None, None, False),
             (("--no-ml",), "no_ml", False, None, 0, True, None, False),
-            (("--workers",), "workers", 1, "int", None, None, None, False),
+            (("--workers",), "workers", 1, "_positive_int", None, None, None,
+             False),
             (("--trace",), "trace", False, None, 0, True, None, False),
             (("--metrics-out",), "metrics_out", None, None, None, None, None,
              False),
@@ -105,7 +111,8 @@ class TestFlagSurface:
             (("--days",), "days", None, "int", None, None, None, True),
             (("--churn-seed",), "churn_seed", None, "int", None, None, None,
              False),
-            (("--workers",), "workers", 1, "int", None, None, None, False),
+            (("--workers",), "workers", 1, "_positive_int", None, None, None,
+             False),
             (("--trace",), "trace", False, None, 0, True, None, False),
             (("--metrics-out",), "metrics_out", None, None, None, None, None,
              False),
@@ -157,10 +164,12 @@ class TestFlagSurface:
              False),
             (("--version",), "version", None, "int", None, None, None, False),
             (("--store",), "store", None, None, None, None, None, False),
-            (("--n-orgs",), "n_orgs", 200, "int", None, None, None, False),
+            (("--n-orgs",), "n_orgs", 200, "_positive_int", None, None, None,
+             False),
             (("--seed",), "seed", 42, "int", None, None, None, False),
             (("--no-ml",), "no_ml", False, None, 0, True, None, False),
-            (("--workers",), "workers", 1, "int", None, None, None, False),
+            (("--workers",), "workers", 1, "_positive_int", None, None, None,
+             False),
             (("--lazy",), "lazy", False, None, 0, True, None, False),
             (("--queue-size",), "queue_size", 256, "_positive_int", None,
              None, None, False),
@@ -177,7 +186,8 @@ class TestFlagSurface:
             (("--runlog",), "runlog", None, None, None, None, None, False),
         ],
         "dump": [
-            (("--n-orgs",), "n_orgs", 200, "int", None, None, None, False),
+            (("--n-orgs",), "n_orgs", 200, "_positive_int", None, None, None,
+             False),
             (("--seed",), "seed", 42, "int", None, None, None, False),
             (("--out",), "out", None, None, None, None, None, False),
             (("--parse",), "parse", None, None, None, None, None, False),
@@ -212,7 +222,9 @@ class TestFlagSurface:
     @pytest.mark.parametrize("argv", [
         ["diff", "--store", "releases", "--dataset-store", "sqlite:x"],
         ["serve", "--full-refresh"],
-    ], ids=["diff--dataset-store", "serve--full-refresh"])
+        ["classify", "--executor", "process"],
+    ], ids=["diff--dataset-store", "serve--full-refresh",
+            "classify--executor"])
     def test_deleted_flags_are_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(argv)
@@ -224,6 +236,8 @@ class TestFlagSurface:
         ["snapshot", "--store", "{}", "--sweep-batch", "0"],
         ["snapshot", "--store", "{}", "--checkpoint-every", "0"],
         ["serve", "--n-orgs", "20", "--no-ml", "--queue-size", "0"],
+        ["classify", "--workers", "0"],
+        ["classify", "--n-orgs", "0"],
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
     def test_zero_size_is_a_usage_error(self, tmp_path, capsys, argv):
         """Each is refused before any work, with one usage line; the

@@ -4,8 +4,8 @@ Covers the :class:`~repro.ml.FeatureCache` memo itself, its wiring into
 :class:`~repro.ml.WebClassificationPipeline` (hit/miss accounting, the
 ``asdb_featcache_*`` metric families, invalidation on ``fit``), and the
 PR's acceptance criterion: ``classify_all`` output is byte-identical —
-CSV *and* JSON — across the sequential path, the thread batch engine,
-the process batch engine, and a pre-warmed feature cache.
+CSV *and* JSON — across the sequential path, the batch engine, and a
+pre-warmed feature cache.
 """
 
 import random
@@ -140,15 +140,7 @@ class TestExecutorByteIdentity:
     def test_thread_batch_identical(self, baseline):
         world, csv_text, json_text = baseline
         dataset = build_asdb(
-            world, SystemConfig(seed=9, workers=4, executor="thread")
-        ).asdb.classify_all()
-        assert dataset.to_csv() == csv_text
-        assert dataset_to_json(dataset) == json_text
-
-    def test_process_batch_identical(self, baseline):
-        world, csv_text, json_text = baseline
-        dataset = build_asdb(
-            world, SystemConfig(seed=9, workers=2, executor="process")
+            world, SystemConfig(seed=9, workers=4)
         ).asdb.classify_all()
         assert dataset.to_csv() == csv_text
         assert dataset_to_json(dataset) == json_text
@@ -162,8 +154,3 @@ class TestExecutorByteIdentity:
         dataset = built.asdb.classify_all()
         assert dataset.to_csv() == csv_text
         assert dataset_to_json(dataset) == json_text
-
-    def test_executor_validation(self):
-        world = _world(seed=11, n_orgs=5)
-        with pytest.raises(ValueError):
-            build_asdb(world, SystemConfig(seed=9, executor="fibers"))

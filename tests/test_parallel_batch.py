@@ -293,66 +293,6 @@ class TestReclassify:
         )
 
 
-class TestProcessExecutor:
-    """``executor="process"`` must be output-equivalent to both the
-    sequential pass and the thread batch engine — the process pool only
-    relocates ML scoring, never changes it."""
-
-    def test_process_batch_identical_to_sequential_with_ml(self):
-        world = _sibling_world(5, n_orgs=60)
-        sequential = build_asdb(
-            world, SystemConfig(seed=7)
-        ).asdb.classify_all()
-        processed = build_asdb(
-            world, SystemConfig(seed=7, executor="process")
-        ).asdb.classify_batch(workers=2)
-        _assert_records_identical(sequential, processed)
-
-    def test_process_batch_identical_without_ml(self):
-        world = _sibling_world(9)
-        sequential = build_asdb(
-            world, SystemConfig(seed=3, train_ml=False)
-        ).asdb.classify_all()
-        processed = build_asdb(
-            world,
-            SystemConfig(seed=3, train_ml=False, executor="process"),
-        ).asdb.classify_batch(workers=4)
-        _assert_records_identical(sequential, processed)
-
-    def test_process_executor_fault_injection_smoke(self):
-        from repro.core.resilience import RetryPolicy
-        from repro.datasources.faults import FaultPlan
-
-        world = _sibling_world(7, n_orgs=40)
-        plan = FaultPlan.uniform(0.3, seed=7)
-        # Breaker off: shedding depends on call order, which batching
-        # legitimately changes; pure retry does not.
-        policy = RetryPolicy(seed=7, backoff_base=0.0, breaker_enabled=False)
-
-        def run(executor):
-            built = build_asdb(
-                world,
-                SystemConfig(
-                    seed=7, workers=4, executor=executor,
-                    faults=plan, retry=policy,
-                ),
-            )
-            return list(built.asdb.classify_all())
-
-        threaded = run("thread")
-        processed = run("process")
-        assert any(record.degraded_sources for record in threaded)
-        for record, twin in zip(threaded, processed):
-            assert twin.asn == record.asn
-            assert twin.labels == record.labels, record.asn
-            assert twin.stage is record.stage, record.asn
-            assert twin.domain == record.domain, record.asn
-            assert twin.sources == record.sources, record.asn
-            assert twin.degraded_sources == record.degraded_sources, (
-                record.asn
-            )
-
-
 class TestCliWorkers:
     def test_classify_workers_output_identical(self, tmp_path, capsys):
         from repro.cli import main

@@ -11,6 +11,7 @@ import pytest
 
 from repro import SystemConfig, WorldConfig, build_asdb, generate_world
 from repro.cli import main
+from repro.core import Stage
 from repro.core.pipeline import REQUEST_ASN_MATCH
 from repro.core.resilience import (
     BREAKER_CLOSED,
@@ -332,11 +333,11 @@ class TestPipelineParityUnderFaults:
     """Same seed + FaultPlan => scalar and batch runs are identical,
     including the degraded_sources provenance."""
 
-    def _records(self, world, workers, plan, policy):
+    def _records(self, world, workers, plan, policy, train_ml=False):
         built = build_asdb(
             world,
             SystemConfig(
-                seed=7, train_ml=False, workers=workers,
+                seed=7, train_ml=train_ml, workers=workers,
                 faults=plan, retry=policy,
             ),
         )
@@ -362,10 +363,14 @@ class TestPipelineParityUnderFaults:
         policy = RetryPolicy(
             seed=7, backoff_base=0.0, breaker_enabled=False
         )
-        scalar = self._records(world, 1, plan, policy)
-        batched = self._records(world, 4, plan, policy)
-        self._assert_identical(scalar, batched)
-        assert any(record.degraded_sources for record in scalar)
+        for train_ml in (False, True):
+            scalar = self._records(world, 1, plan, policy, train_ml)
+            batched = self._records(world, 4, plan, policy, train_ml)
+            self._assert_identical(scalar, batched)
+            assert any(record.degraded_sources for record in scalar)
+            assert train_ml == any(
+                record.stage is Stage.CLASSIFIER for record in scalar
+            )
 
     def test_permanently_down_source_parity_with_breaker(self):
         # A permanently-down source degrades identically whether the

@@ -1,17 +1,13 @@
 """Tests for the run ledger: repro.obs.runlog and its wiring through
-the pipeline, both pool executors, and the CLI."""
+the pipeline, the batch engine's thread pool, and the CLI."""
 
 import json
-import os
 import threading
-from collections import defaultdict
 
 import pytest
 
 from repro import SystemConfig, WorldConfig, build_asdb, generate_world
 from repro.cli import main
-from repro.core.parallel import _write_chunk_spans
-from repro.core.procpool import map_chunked
 from repro.obs import (
     LEDGER_SCHEMA,
     NULL_RUNLOG,
@@ -192,73 +188,6 @@ class TestDisabledRunLog:
         assert not NULL_RUNLOG.enabled
 
 
-def _double(payload, chunk):
-    return [value * 2 for value in chunk]
-
-
-class TestProcessPoolSpans:
-    """Chunk timings come back from ``map_chunked`` as plain tuples;
-    the batch engine's ``_write_chunk_spans`` writes each one through
-    ``RunLog.emit_span``."""
-
-    def test_chunk_spans_return_through_sink(self, tmp_path):
-        log = RunLog(str(tmp_path / "run.ndjson"))
-        chunks = []
-        results = map_chunked(
-            _double, None, list(range(20)), workers=2, chunk_size=5,
-            chunk_times=chunks,
-        )
-        with log.span("batch.ml") as parent:
-            _write_chunk_spans(log, parent.span_id, chunks)
-        log.finish()
-        assert results == [value * 2 for value in range(20)]
-        assert [chunk[:2] for chunk in chunks] == [
-            (0, 5), (1, 5), (2, 5), (3, 5)
-        ]
-        spans = _events(tmp_path / "run.ndjson", "span")
-        (ml,) = [span for span in spans if span["name"] == "batch.ml"]
-        chunk_spans = [span for span in spans if span is not ml]
-        assert len(chunk_spans) == 4
-        assert {span["parent_id"] for span in chunk_spans} == {
-            ml["span_id"]
-        }
-        assert {span["name"] for span in chunk_spans} == {"procpool.chunk"}
-        assert {span["worker"]["kind"] for span in chunk_spans} == {
-            "process"
-        }
-        assert os.getpid() not in {
-            span["worker"]["pid"] for span in chunk_spans
-        }
-        assert sum(
-            span["attributes"]["items"] for span in chunk_spans
-        ) == 20
-        assert len({span["span_id"] for span in spans}) == len(spans)
-
-    def test_inline_fallback_marks_main_worker(self, tmp_path):
-        log = RunLog(str(tmp_path / "run.ndjson"))
-        chunks = []
-        map_chunked(_double, None, [1, 2, 3], workers=1, chunk_times=chunks)
-        _write_chunk_spans(log, None, chunks)
-        log.finish()
-        spans = _events(tmp_path / "run.ndjson", "span")
-        assert [span["attributes"] for span in spans] == [
-            {"items": 3, "chunk": 0}
-        ]
-        assert spans[0]["worker"]["kind"] == "main"
-
-    def test_no_ledger_produces_no_spans(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        chunks = []
-        results = map_chunked(
-            _double, None, [1, 2, 3], workers=2, chunk_times=chunks
-        )
-        assert results == [2, 4, 6]
-        assert len(chunks) == 2
-        _write_chunk_spans(NULL_RUNLOG, None, chunks)
-        assert NULL_RUNLOG._span_counter == 0
-        assert list(tmp_path.iterdir()) == []
-
-
 class TestPipelineLedger:
     @pytest.fixture(scope="class")
     def ledger(self, tmp_path_factory, small_world):
@@ -308,36 +237,6 @@ class TestPipelineLedger:
             record.asn for record in dataset
         }
         assert all(event["spans"] for event in traced)
-
-
-class TestProcessExecutorLedger:
-    def test_chunk_spans_nest_under_batch_ml(self, tmp_path, small_world):
-        def classify(executor, runlog=None):
-            built = build_asdb(
-                small_world,
-                SystemConfig(
-                    seed=5, workers=2, executor=executor, runlog=runlog
-                ),
-            )
-            return list(built.asdb.classify_all())
-
-        path = tmp_path / "proc.ndjson"
-        runlog = RunLog(str(path), kind="classify")
-        records = classify("process", runlog)
-        runlog.finish()
-
-        spans = _events(path, "span")
-        by_id = {span["span_id"]: span for span in spans}
-        chunks = [span for span in spans if span["name"] == "procpool.chunk"]
-        assert chunks
-        items = defaultdict(int)
-        for chunk in chunks:
-            assert by_id[chunk["parent_id"]]["name"] == "batch.ml"
-            assert chunk["worker"]["kind"] == "process"
-            items[chunk["parent_id"]] += chunk["attributes"]["items"]
-        for parent_id, total in items.items():
-            assert total <= by_id[parent_id]["attributes"]["domains"]
-        assert records == classify("thread")
 
 
 class TestCliLedger:
