@@ -200,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--store URL", "--trace", "--metrics-out", "--runlog",
         n_orgs=400, seed=42,
     )
-    classify.add_argument("--profile", nargs="?", const=5, type=int,
+    classify.add_argument("--profile", nargs="?", const=5,
+                          type=_positive_int,
                           default=None, metavar="N",
                           help="print the top-N slowest pipeline stages "
                           "(default 5) aggregated from trace spans to "
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     command(
         "evaluate", "gold-standard evaluation of the full system",
         "--n-orgs", "--seed", n_orgs=800, seed=33,
-    ).add_argument("--gold-size", type=int, default=150)
+    ).add_argument("--gold-size", type=_positive_int, default=150)
 
     command("taxonomy", "print NAICSlite").add_argument(
         "--layer1", default=None, help="restrict to one layer 1 slug"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import islice
 from typing import Dict, IO, Iterable, Iterator, List, Optional, Tuple
 
 from ..taxonomy import Label, LabelSet, naicslite
@@ -251,11 +252,35 @@ def item_json(item: Dict[str, object]) -> str:
 class JsonFrame:
     """The lossless document's text around its records: :attr:`head`,
     then :meth:`record` for each record's :func:`item_json` text, then
-    :meth:`tail`.  :func:`iter_json_chunks` pulls records through it;
-    the snapshot store pushes texts through it to write and digest a
-    document while it diffs the same records."""
+    :meth:`tail`.  :func:`iter_json_chunks` pulls records through it
+    one at a time; the snapshot store frames its texts a block at a
+    time with :meth:`document` to write and digest a release."""
 
     head = '{\n  "format": "asdb-repro/1",\n  "records": ['
+
+    #: Records per chunk in :meth:`document`: enough that joining and
+    #: hashing run at C speed, few enough to bound each chunk's size.
+    BATCH = 1024
+
+    @classmethod
+    def document(cls, texts: Iterable[str],
+                 batch: int = BATCH) -> Iterator[str]:
+        """The whole document around ``texts`` (:func:`item_json`
+        texts, in record order) as chunks of at most ``batch`` records.
+
+        The chunks concatenate to the bytes :meth:`record` and
+        :meth:`tail` frame one text at a time; each block of texts is
+        joined in one C call, and only one block is resident.
+        """
+        frame = cls()
+        yield frame.head
+        texts = iter(texts)
+        while True:
+            block = list(islice(texts, batch))
+            if not block:
+                break
+            yield frame.record(",\n".join(block))
+        yield frame.tail()
 
     def __init__(self) -> None:
         self._separator = "\n"

@@ -30,7 +30,10 @@ stores the full document alongside it.  Loading any version replays the
 chain forward from the nearest full document (checkpoint or full
 snapshot), so reconstruction cost is O(K deltas) regardless of history
 depth; a blake2b digest of the materialized document, recorded at save
-time, guards every reconstruction.
+time, guards every reconstruction.  A handle remembers the version it
+saved last, so its next delta save re-checks the parent's documents by
+their bytes instead of replaying them and encodes only the records that
+are not the objects it saved (see :meth:`SnapshotStore.save`).
 
 Each version also records the maintenance-sweep window and provenance
 that produced it, so ``repro diff``/``repro refresh`` can answer "what
@@ -45,9 +48,11 @@ import os
 import shutil
 import tempfile
 import uuid
-from contextlib import contextmanager, nullcontext, suppress
+import weakref
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from typing import IO, Dict, List, Optional, Tuple
+from functools import partial
+from typing import IO, Dict, Iterable, List, Optional, Tuple
 
 from .database import ASdbDataset, DatasetDiff, diff_record_streams
 from .persistence import (
@@ -81,49 +86,45 @@ class SnapshotCorruption(SnapshotError):
 
 
 def dataset_digest(records) -> str:
-    """Digest of a dataset's full JSON document, computed record by
-    record without materializing the document (O(1) memory for any
-    backend).
+    """Digest of a dataset's full JSON document, computed a bounded
+    block of records at a time without materializing the document
+    (O(1) memory for any backend).
 
     The same blake2b-128 recorded in every :class:`SnapshotInfo`, so a
     caller holding a store-backed dataset can check it against a
     version's manifest digest without loading anything.
     """
-    return _Document().digest(records)
+    return _document(item_json(record_to_item(record)) for record in records)
 
 
 #: What parsing a stored record item raises when the item is malformed.
 _MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
 
 
-class _Document:
-    """A full JSON document built one :func:`item_json` text at a time:
-    digested as it grows and, given a handle, written as well."""
+def _blake2b(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
 
-    def __init__(self, handle: Optional[IO[str]] = None) -> None:
-        self._frame = JsonFrame()
-        self._hasher = hashlib.blake2b(digest_size=16)
-        self._handle = handle
-        self._put(self._frame.head)
 
-    def _put(self, chunk: str) -> None:
-        self._hasher.update(chunk.encode("utf-8"))
-        if self._handle is not None:
-            self._handle.write(chunk)
+def _file_digest(path: str) -> str:
+    """:func:`_blake2b` of a file's bytes, read in bounded blocks."""
+    hasher = hashlib.blake2b(digest_size=16)
+    with open(path, "rb") as handle:
+        for block in iter(partial(handle.read, 1 << 20), b""):
+            hasher.update(block)
+    return hasher.hexdigest()
 
-    def add(self, text: str) -> None:
-        self._put(self._frame.record(text))
 
-    def finish(self) -> str:
-        """Close the document; returns its digest."""
-        self._put(self._frame.tail())
-        return self._hasher.hexdigest()
-
-    def digest(self, records) -> str:
-        """Add every record, then close the document."""
-        for record in records:
-            self.add(item_json(record_to_item(record)))
-        return self.finish()
+def _document(texts: Iterable[str], handle: Optional[IO[bytes]] = None) -> str:
+    """Digest of the full document around ``texts`` (:func:`item_json`
+    texts in record order), hashed in :meth:`JsonFrame.document`'s
+    bounded chunks and, given a binary handle, written as well."""
+    hasher = hashlib.blake2b(digest_size=16)
+    for chunk in JsonFrame.document(texts):
+        data = chunk.encode("utf-8")
+        hasher.update(data)
+        if handle is not None:
+            handle.write(data)
+    return hasher.hexdigest()
 
 
 def _canonical_item(item: dict, version: int) -> dict:
@@ -134,6 +135,126 @@ def _canonical_item(item: dict, version: int) -> dict:
         raise SnapshotCorruption(
             f"v{version}: malformed record item: {exc!r}"
         ) from exc
+
+
+@dataclass
+class _SavedVersion:
+    """The version a handle saved last, as it remembers it: every
+    ASN's :func:`item_json` text in ASN order, a weak reference to the
+    record each text came from, and the :func:`_blake2b` of every
+    document on the version's :meth:`SnapshotStore._walk` as
+    ``(file name, digest)`` pairs.
+
+    The next delta save reads its parent from here (the warm path)
+    once each of those documents, re-read, still has those bytes.  A
+    weak reference tells that save that a record is the very immutable
+    object its text was encoded from without keeping alive a record the
+    dataset no longer holds; a sqlite-backed dataset yields fresh
+    records on every pass, so there every reference reads dead and
+    every record is encoded again.
+    """
+
+    version: int
+    digest: str
+    walk: Tuple[Tuple[str, str], ...]
+    asns: List[int]
+    texts: List[str]
+    refs: list
+
+    def known(self, position: int, record) -> Optional[str]:
+        """The text of the parent's record at ``position`` when
+        ``record`` is that very object."""
+        if self.refs[position]() is record:
+            return self.texts[position]
+        return None
+
+    def unchanged(self, position: int, item: dict, text: str) -> bool:
+        return self.texts[position] == text
+
+    def verify(self) -> None:
+        """Nothing to check: the walk's bytes were re-read already."""
+
+
+class _ReplayedParent:
+    """A parent version replayed from its stored documents (the cold
+    path).  :func:`_delta_pass` compares new records against its items,
+    and :meth:`verify` then checks the parent's digest over the texts
+    those comparisons settled, the check :meth:`SnapshotStore.load`
+    would have made."""
+
+    def __init__(self, info: SnapshotInfo, items: Dict[int, dict],
+                 walk: Tuple[Tuple[str, str], ...]) -> None:
+        self.info = info
+        self.walk = walk
+        self.asns = sorted(items)
+        self._items = items
+        self._texts: List[Optional[str]] = [None] * len(self.asns)
+
+    def known(self, position: int, record) -> None:
+        return None
+
+    def unchanged(self, position: int, item: dict, text: str) -> bool:
+        old = self._items[self.asns[position]]
+        if old == item:
+            self._texts[position] = text
+            return True
+        # A stored item that load() normalizes to the new one (say, its
+        # labels listed in another order) is unchanged, as it was when
+        # the parent was rebuilt as records.
+        old = _canonical_item(old, self.info.version)
+        self._texts[position] = item_json(old)
+        return old == item
+
+    def verify(self) -> None:
+        """Raise :class:`SnapshotCorruption` unless the parent's items,
+        re-serialized as :meth:`SnapshotStore.load` would, match the
+        parent's recorded digest.  Only the items no new record matched
+        are encoded here."""
+        version = self.info.version
+        SnapshotStore._verify(self.info, _document(
+            item_json(_canonical_item(self._items[asn], version))
+            if text is None else text
+            for asn, text in zip(self.asns, self._texts)
+        ))
+
+
+def _delta_pass(parent, dataset):
+    """``dataset`` against ``parent`` (a :class:`_SavedVersion` or a
+    :class:`_ReplayedParent`) in one streaming pass, in ascending ASN
+    order, ending with ``parent.verify()``.
+
+    Returns ``(asns, texts, refs)`` of the new version, the changed
+    items and the removed ASNs.  A record the parent knows as the very
+    object its text came from is not encoded at all; every other record
+    is encoded once, and items compare by their :func:`record_to_item`
+    shape.
+    """
+    old, known, unchanged = parent.asns, parent.known, parent.unchanged
+    end, position = len(old), 0
+    asns: List[int] = []
+    texts: List[str] = []
+    refs: list = []
+    changed: List[dict] = []
+    removed: List[int] = []
+    for record in dataset:
+        asn = record.asn
+        while position < end and old[position] < asn:
+            removed.append(old[position])
+            position += 1
+        present = position < end and old[position] == asn
+        text = known(position, record) if present else None
+        if text is None:
+            item = record_to_item(record)
+            text = item_json(item)
+            if not (present and unchanged(position, item, text)):
+                changed.append(item)
+        position += present
+        asns.append(asn)
+        texts.append(text)
+        refs.append(weakref.ref(record))
+    removed.extend(old[position:])
+    parent.verify()
+    return (asns, texts, refs), changed, removed
 
 
 @dataclass(frozen=True)
@@ -240,6 +361,8 @@ class SnapshotStore:
         #: the manifest.  Mutate via :meth:`set_meta`.
         self.meta: Dict[str, object] = {}
         self._checkpoint_every: Optional[int] = None
+        #: The version this handle saved last (None until it saves).
+        self._saved: Optional[_SavedVersion] = None
         manifest_path = os.path.join(self._root, _MANIFEST)
         if os.path.exists(manifest_path):
             self._load_manifest(manifest_path)
@@ -371,8 +494,8 @@ class SnapshotStore:
 
     @contextmanager
     def _new_document(self, filename: str, created: List[str]):
-        """A handle on a tmp file that becomes ``filename`` when the
-        block exits cleanly.
+        """A binary handle on a tmp file that becomes ``filename`` when
+        the block exits cleanly.
 
         The file is hard-linked into place, which never replaces an
         existing file: a handle that lost a race for this version gets
@@ -384,7 +507,7 @@ class SnapshotStore:
         path = os.path.join(self._root, filename)
         tmp = f"{path}.{uuid.uuid4().hex}.tmp"
         try:
-            with open(tmp, "w") as handle:
+            with open(tmp, "wb") as handle:
                 yield handle
             try:
                 os.link(tmp, path)
@@ -400,62 +523,28 @@ class SnapshotStore:
             with suppress(FileNotFoundError):
                 os.unlink(tmp)
 
-    def _delta_against(
-        self,
-        parent: SnapshotInfo,
-        dataset,
-        document: _Document,
-    ) -> Tuple[List[dict], List[int]]:
-        """Changed items and removed ASNs of ``dataset`` against the
-        ``parent`` version, in one streaming pass over ``dataset``.
-
-        Each record is encoded once.  Its text feeds ``document`` (the
-        new version's digest, and its checkpoint when one is written)
-        and, where the item equals the parent's, the parent's own
-        document, whose digest is verified before this returns — the
-        check :meth:`load` would have made.  Only parent items that
-        differ are re-serialized.  Items compare by their
-        :func:`record_to_item` shape.
+    def _remembered(self, parent: SnapshotInfo) -> Optional[_SavedVersion]:
+        """What this handle remembers of ``parent`` (it saved it last),
+        if every document on the parent's walk still has the bytes it
+        had then.  Each document is re-read in full and no ``stat``
+        field is trusted; None sends the save to the verifying replay.
         """
-        items = self._parent_items(parent.version)
-        parent_document = _Document()
-        changed: List[Dict[str, object]] = []
-        removed: List[int] = []
-        old_asns = sorted(items)
-        position = 0
-
-        def drop(asn: int) -> None:
-            removed.append(asn)
-            parent_document.add(
-                item_json(_canonical_item(items[asn], parent.version))
-            )
-
-        for record in dataset:
-            item = record_to_item(record)
-            text = item_json(item)
-            document.add(text)
-            while position < len(old_asns) and old_asns[position] < record.asn:
-                drop(old_asns[position])
-                position += 1
-            if position == len(old_asns) or old_asns[position] != record.asn:
-                changed.append(item)
-                continue
-            old = items[old_asns[position]]
-            position += 1
-            if old == item:
-                parent_document.add(text)
-                continue
-            # A stored item that load() normalizes to the new one (say,
-            # its labels listed in another order) is unchanged, as it
-            # was when the parent was rebuilt as records.
-            old = _canonical_item(old, parent.version)
-            parent_document.add(item_json(old))
-            if old != item:
-                changed.append(item)
-        for asn in old_asns[position:]:
-            drop(asn)
-        self._verify(parent, parent_document.finish())
-        return changed, removed
+        saved = self._saved
+        if saved is None or (saved.version, saved.digest) != (
+            parent.version, parent.digest
+        ):
+            return None
+        base, base_name, chain = self._walk(parent)
+        names = [base_name] + [info.filename for info in chain]
+        if names != [name for name, _ in saved.walk]:
+            return None
+        for name, digest in saved.walk:
+            try:
+                if _file_digest(os.path.join(self._root, name)) != digest:
+                    return None
+            except OSError:
+                return None
+        return saved
 
     def save(
         self,
@@ -480,15 +569,22 @@ class SnapshotStore:
         ``snapshot.checkpoint`` event when the save was promoted).
 
         ``dataset`` may be any :class:`~repro.core.store.DatasetStore`
-        backend, and is read in one streaming pass: a store-backed sweep
-        snapshot never holds the new dataset resident.  A delta save
-        replays the parent's record items straight from the stored JSON
-        and verifies the parent's digest in that same pass, raising
+        backend, and is read in one streaming pass in ascending ASN
+        order; the handle keeps each record's document text, never the
+        records.  A delta save reads its parent from what this handle
+        remembers of the version it saved last, once every document on
+        that version's load walk has been re-read and still has the
+        bytes it had then; there, a record that is the very object a
+        remembered text came from is not encoded again.  Otherwise (a
+        fresh handle, a changed or missing file) it replays the
+        parent's record items straight from the stored JSON and
+        verifies the parent's digest in the same pass, raising
         :class:`SnapshotCorruption` wherever :meth:`load` of the parent
-        would fail.  Documents land atomically and never replace an
-        existing file, and the manifest append detects a concurrent
-        writer before minting a version number; a save that fails
-        removes the documents it placed.
+        would fail.  Either way the new document and its checkpoint are
+        digested and written from the texts.  Documents land atomically
+        and never replace an existing file, and the manifest append
+        detects a concurrent writer before minting a version number; a
+        save that fails removes the documents it placed.
         """
         on_disk = self._count_disk_versions()
         if on_disk != len(self._versions):
@@ -510,8 +606,14 @@ class SnapshotStore:
                 kind, parent = "full", None
                 changed = len(dataset)
                 removed: List[int] = []
+                asns, texts, refs = [], [], []
+                for record in dataset:
+                    asns.append(record.asn)
+                    texts.append(item_json(record_to_item(record)))
+                    refs.append(weakref.ref(record))
                 with self._new_document(filename, created) as handle:
-                    digest = _Document(handle).digest(dataset)
+                    digest = _document(texts, handle)
+                walk = ((filename, digest),)
             else:
                 kind, parent = "delta", version - 1
                 filename = f"v{version:04d}.delta.json"
@@ -519,24 +621,30 @@ class SnapshotStore:
                         and self._deltas_since_base() + 1
                         >= self._checkpoint_every):
                     checkpoint = f"v{version:04d}.ckpt.json"
-                with (self._new_document(checkpoint, created)
-                      if checkpoint is not None
-                      else nullcontext()) as handle:
-                    document = _Document(handle)
-                    changed_items, removed = self._delta_against(
-                        self.info(parent), dataset, document
-                    )
-                    digest = document.finish()
+                parent_info = self.info(parent)
+                source = (self._remembered(parent_info)
+                          or self._replay(parent_info))
+                (asns, texts, refs), changed_items, removed = _delta_pass(
+                    source, dataset
+                )
+                if checkpoint is not None:
+                    with self._new_document(checkpoint, created) as handle:
+                        digest = _document(texts, handle)
+                else:
+                    digest = _document(texts)
+                delta = json.dumps(
+                    {
+                        "format": DELTA_FORMAT,
+                        "base": parent,
+                        "changed": changed_items,
+                        "removed": removed,
+                    },
+                    indent=2,
+                ).encode("utf-8")
                 with self._new_document(filename, created) as handle:
-                    handle.write(json.dumps(
-                        {
-                            "format": DELTA_FORMAT,
-                            "base": parent,
-                            "changed": changed_items,
-                            "removed": removed,
-                        },
-                        indent=2,
-                    ))
+                    handle.write(delta)
+                walk = (((checkpoint, digest),) if checkpoint is not None
+                        else source.walk + ((filename, _blake2b(delta)),))
                 changed = len(changed_items)
             info = SnapshotInfo(
                 version=version,
@@ -564,6 +672,7 @@ class SnapshotStore:
                 with suppress(FileNotFoundError):
                     os.unlink(path)
             raise
+        self._saved = _SavedVersion(version, digest, walk, asns, texts, refs)
         if runlog is not None:
             runlog.emit(
                 "snapshot.saved",
@@ -589,15 +698,24 @@ class SnapshotStore:
 
     # -- reading ------------------------------------------------------------
 
-    def _read_file(self, filename: str, version: int) -> str:
+    def _read_file(self, filename: str, version: int) -> bytes:
         path = os.path.join(self._root, filename)
         try:
-            with open(path) as handle:
+            with open(path, "rb") as handle:
                 return handle.read()
         except OSError as exc:
             raise SnapshotCorruption(
                 f"cannot read v{version} document {path}: {exc}"
             ) from exc
+
+    def _read_json(self, filename: str, version: int,
+                   walk: Optional[List[Tuple[str, str]]] = None):
+        """One stored document, parsed; with ``walk``, the digest of
+        the bytes parsed is appended to it as ``(filename, digest)``."""
+        data = self._read_file(filename, version)
+        if walk is not None:
+            walk.append((filename, _blake2b(data)))
+        return json.loads(data.decode("utf-8"))
 
     def _full_document_name(
         self,
@@ -613,7 +731,7 @@ class SnapshotStore:
 
     def _full_items(self, name: str, version: int) -> List[dict]:
         """Record items of a stored full document, in file order."""
-        document = json.loads(self._read_file(name, version))
+        document = self._read_json(name, version)
         if document.get("format") != DATASET_FORMAT:
             raise SnapshotCorruption(
                 f"v{version}: unsupported document format "
@@ -621,8 +739,10 @@ class SnapshotStore:
             )
         return document["records"]
 
-    def _read_delta(self, info: SnapshotInfo) -> Tuple[List[dict], List[int]]:
-        delta = json.loads(self._read_file(info.filename, info.version))
+    def _read_delta(self, info: SnapshotInfo,
+                    walk: Optional[List[Tuple[str, str]]] = None
+                    ) -> Tuple[List[dict], List[int]]:
+        delta = self._read_json(info.filename, info.version, walk)
         if delta.get("format") != DELTA_FORMAT:
             raise SnapshotCorruption(
                 f"v{info.version}: unsupported delta format "
@@ -719,18 +839,26 @@ class SnapshotStore:
                 f"match its recorded digest"
             )
 
-    def _parent_items(self, version: int) -> Dict[int, dict]:
-        """``version``'s record items by ASN, replayed from the stored
-        JSON along :meth:`load`'s walk without building records.
+    def _replay(self, parent: SnapshotInfo) -> _ReplayedParent:
+        """``parent``'s record items by ASN, replayed from the stored
+        JSON along :meth:`load`'s walk without building records, with
+        the walk's digests for the :class:`_SavedVersion` this save
+        leaves: each delta's bytes as read, and for the base document
+        (a full one, which digests to its version's manifest digest
+        when intact) that digest, unhashed.  A base that replayed but
+        differs from it fails the next save's byte check, which then
+        replays again.
 
         Fails with :class:`SnapshotCorruption` wherever :meth:`load`
         would fail on these documents: an item that a later one
         replaces or removes is parsed here as load parses it, and the
         items that survive are checked, with the digest, by
-        :meth:`_delta_against`.
+        :meth:`_ReplayedParent.verify`.
         """
-        base, base_name, chain = self._walk(self.info(version))
+        version = parent.version
+        base, base_name, chain = self._walk(parent)
         items: Dict[int, dict] = {}
+        walk = [(base_name, base.digest)]
 
         def place(item: dict) -> None:
             asn = int(item["asn"])
@@ -742,7 +870,7 @@ class SnapshotStore:
             for item in self._full_items(base_name, base.version):
                 place(item)
             for info in chain:
-                changed, removed = self._read_delta(info)
+                changed, removed = self._read_delta(info, walk)
                 for asn in removed:
                     if asn in items:
                         record_from_item(items.pop(asn))
@@ -754,7 +882,7 @@ class SnapshotStore:
             raise SnapshotCorruption(
                 f"v{version}: malformed stored document: {exc!r}"
             ) from exc
-        return items
+        return _ReplayedParent(parent, items, tuple(walk))
 
     def load(
         self,
@@ -884,7 +1012,7 @@ class SnapshotStore:
         info = self.info(version)
         name = self._full_document_name(info)
         if name is not None:
-            return self._read_file(name, info.version)
+            return self._read_file(name, info.version).decode("utf-8")
         return dataset_to_json(self.load(version))
 
     def diff(self, old_version: int, new_version: int) -> DatasetDiff:

@@ -43,7 +43,8 @@ class TestFlagSurface:
             (("--no-ml",), "no_ml", False, None, 0, True, None, False),
             (("--workers",), "workers", 1, "_positive_int", None, None, None,
              False),
-            (("--profile",), "profile", None, "int", "?", 5, None, False),
+            (("--profile",), "profile", None, "_positive_int", "?", 5, None,
+             False),
             (("--profile-out",), "profile_out", None, None, None, None, None,
              False),
             (("--out",), "out", None, None, None, None, None, False),
@@ -81,8 +82,8 @@ class TestFlagSurface:
             (("--n-orgs",), "n_orgs", 800, "_positive_int", None, None, None,
              False),
             (("--seed",), "seed", 33, "int", None, None, None, False),
-            (("--gold-size",), "gold_size", 150, "int", None, None, None,
-             False),
+            (("--gold-size",), "gold_size", 150, "_positive_int", None, None,
+             None, False),
         ],
         "taxonomy": [
             (("--layer1",), "layer1", None, None, None, None, None, False),
@@ -238,7 +239,12 @@ class TestFlagSurface:
         ["serve", "--n-orgs", "20", "--no-ml", "--queue-size", "0"],
         ["classify", "--workers", "0"],
         ["classify", "--n-orgs", "0"],
-    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+        ["evaluate", "--gold-size", "0"],
+        ["evaluate", "--gold-size", "-3"],
+        ["classify", "--profile", "0"],
+        ["classify", "--profile", "-2"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}"
+        + ("" if argv[-1] == "0" else argv[-1]))
     def test_zero_size_is_a_usage_error(self, tmp_path, capsys, argv):
         """Each is refused before any work, with one usage line; the
         refresh runs against a real release, so only the flag's type
@@ -251,8 +257,12 @@ class TestFlagSurface:
             main([store if arg == "{}" else arg for arg in argv])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument {argv[-2]}: must be >= 1, got 0" in err
+        assert f"argument {argv[-2]}: must be >= 1, got {argv[-1]}" in err
         assert "Traceback" not in err
+
+    def test_bare_profile_means_five(self):
+        args = build_parser().parse_args(["classify", "--profile"])
+        assert args.profile == 5
 
 
 class TestTaxonomyCommand:

@@ -14,7 +14,12 @@ from repro.core import (
     dataset_from_json,
     dataset_to_json,
 )
-from repro.core.persistence import item_json, iter_json_chunks, record_to_item
+from repro.core.persistence import (
+    JsonFrame,
+    item_json,
+    iter_json_chunks,
+    record_to_item,
+)
 from repro.core.snapshots import dataset_digest
 from repro.taxonomy import Label, LabelSet, naicslite
 
@@ -224,6 +229,16 @@ class TestJsonEncoding:
             },
             indent=2,
         )
+
+    @given(records=st.lists(_records, max_size=6),
+           batch=st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_document_frames_blocks_like_single_records(self, records,
+                                                        batch):
+        texts = [item_json(record_to_item(record)) for record in records]
+        chunks = list(JsonFrame.document(texts, batch=batch))
+        assert len(chunks) == 2 + -(-len(texts) // batch)
+        assert "".join(chunks) == "".join(iter_json_chunks(records))
 
     @pytest.mark.parametrize("change", [
         {"asn": True},
