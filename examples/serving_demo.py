@@ -131,7 +131,6 @@ def main() -> None:
         lazy_app.worker = QueueWorker(
             queue,
             classify=lambda asns: lazy.asdb.classify_batch(asns),
-            classify_one=lazy.asdb.classify,
             after=lazy_app.on_drained,
         )
         box = serve_in_thread(lazy_app)

@@ -134,10 +134,15 @@ _FLAGS = {
     "--seed": dict(type=int, help="seed of the world and the system"),
     "--no-ml": dict(action="store_true", help="skip the ML pipeline stage"),
     "--workers": dict(type=_positive_int, default=1,
-                      help="worker threads for the batch engine (output "
-                      "is byte-identical to --workers 1)"),
+                      help="threads that advance the batch engine's "
+                      "organization chains; 1 runs them inline (output "
+                      "is byte-identical at every count, fault "
+                      "injection included)"),
     "--trace": dict(action="store_true",
-                    help="record a per-stage span trace for every AS"),
+                    help="record a per-stage span trace for every AS "
+                    "(statuses and notes are exact; when a run "
+                    "classifies more than one AS, stage durations are "
+                    "time-to-resume in the batch engine)"),
     "--metrics-out": dict(metavar="FILE",
                           help="write the metrics snapshot to FILE "
                           "(Prometheus text, or JSON when FILE ends in "
@@ -1166,7 +1171,6 @@ def _build_serving_app(args: argparse.Namespace, registry, runlog):
         classify=lambda asns: built.asdb.classify_batch(
             asns, workers=args.workers
         ),
-        classify_one=built.asdb.classify,
         after=app.on_drained,
         batch_size=args.queue_batch,
     )

@@ -27,32 +27,29 @@ lookup outcomes), and ``trace=True`` to attach a per-AS
 each :class:`ASdbRecord`.  With neither configured the pipeline runs
 exactly as before.
 
-Execution: :meth:`ASdb.classify` / :meth:`ASdb.classify_all` run the
-stages inline per AS.  :meth:`ASdb.classify_batch` hands the same
-per-AS stage logic to the :mod:`repro.core.parallel` engine, which
-groups organization siblings into clusters, fans cluster fronts over a
-thread pool, and serves the ML and source-match stages through the bulk
-endpoints — with output guaranteed byte-identical to the sequential
-ascending-ASN pass.  The two paths share one implementation: the stage
-sequence is a generator (:meth:`ASdb._classify_steps`) that *yields*
-each external request (ASN lookups, ML verdict, source matches) and is
-resumed with the answer, so the scalar driver and the batch engine
-cannot diverge on pipeline semantics.
+Execution: the stage sequence is a generator
+(:meth:`ASdb._classify_steps`) that *yields* each external request (ASN
+lookups, ML verdict, source matches) and is resumed with the answer.
+Its one driver is :func:`repro.core.parallel.run_batch`, which groups
+organization siblings into in-order chains and serves the requests of
+all suspended chains through the bulk endpoints.  :meth:`ASdb.classify`
+runs a one-ASN batch, :meth:`ASdb.classify_all` and
+:meth:`ASdb.classify_batch` the registry or the given ASNs; the output
+is byte-identical to classifying the same ASNs one at a time in
+ascending order, at any worker count.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..datasources.base import DataSource, Query, SourceMatch
+from ..datasources.base import DataSource, SourceMatch
 from ..matching.resolver import EntityResolver
 from ..ml.pipeline import ClassifierVerdict, WebClassificationPipeline
 from ..obs.instrument import instrument_source
 from ..obs.metrics import MetricsRegistry, NULL_REGISTRY
 from ..obs.runlog import NULL_RUNLOG
-from ..obs.trace import trace_builder
 from ..taxonomy import Label, LabelSet
 from ..whois.registry import WhoisRegistry
 from .cache import OrganizationCache, org_cache_key
@@ -65,7 +62,7 @@ __all__ = ["ASdb"]
 ConsensusStrategy = Callable[[Dict[str, SourceMatch]], ConsensusResult]
 
 #: Request kinds yielded by :meth:`ASdb._classify_steps` (the contract
-#: between the stage generator and its drivers).
+#: between the stage generator and its driver).
 REQUEST_ASN_MATCH = "asn_match"
 REQUEST_ML = "ml"
 REQUEST_SOURCES = "sources"
@@ -87,8 +84,7 @@ class ASdb:
         metrics: Metrics registry to emit counters/histograms into
             (None = no-op instruments, zero behavior change).
         trace: Attach a per-stage span trace to every record.
-        workers: Default worker count for :meth:`classify_all`; above 1
-            the whole-registry pass runs through the batch engine.
+        workers: Default worker count for :meth:`classify_all`.
         runlog: Optional :class:`~repro.obs.runlog.RunLog` event ledger;
             every classification emits an ``as.trace`` event (when
             tracing is on) and the batch engine emits phase/worker
@@ -150,25 +146,21 @@ class ASdb:
     # -- public API ---------------------------------------------------------
 
     def classify(self, asn: int) -> ASdbRecord:
-        """Classify one AS, updating the dataset and cache."""
-        record = self._classify_one(asn)
-        self.dataset.add(record)
+        """Classify one AS, updating the dataset and cache.
+
+        A one-ASN batch; unlike :meth:`classify_batch` it does not
+        flush a store-backed dataset, so a loop of calls keeps the
+        store's write buffering.
+        """
+        (record,) = self._run([asn], workers=1)
         return record
 
     def classify_all(self, workers: Optional[int] = None) -> ASdbDataset:
-        """Classify every AS in the registry (ascending ASN order).
-
-        ``workers`` above 1 (or a constructor-level ``workers`` default
-        above 1) dispatches to :meth:`classify_batch`; the result is
-        byte-identical to the sequential pass.
-        """
-        effective = self._workers if workers is None else max(1, workers)
-        if effective > 1:
-            return self.classify_batch(workers=effective)
-        for asn in self._registry.asns():
-            self.classify(asn)
-        self.dataset.flush()
-        return self.dataset
+        """Classify every AS in the registry: :meth:`classify_batch`
+        with ``workers`` (default: the constructor's)."""
+        return self.classify_batch(
+            workers=self._workers if workers is None else workers
+        )
 
     def classify_batch(
         self,
@@ -179,23 +171,31 @@ class ASdb:
         organization-clustered batch engine.
 
         Organization siblings are grouped by their pre-domain cache key
-        so each organization is classified exactly once per batch;
-        cluster fronts fan out over ``workers`` threads and the ML /
-        source-match stages run through the bulk endpoints.  Output is
-        byte-identical to classifying the same ASNs sequentially in
-        ascending order (see :mod:`repro.core.parallel`).
+        into in-order chains; chains advance on ``workers`` threads and
+        the ASN-match, ML and source-match stages run through the bulk
+        endpoints.  Output is byte-identical to classifying the same
+        ASNs one at a time in ascending order (see
+        :mod:`repro.core.parallel`).
         """
-        from .parallel import run_batch
-
-        for record in run_batch(self, asns=asns, workers=workers):
-            self.dataset.add(record)
-            if record.trace is not None:
-                self.runlog.emit("as.trace", **record.trace.to_dict())
+        self._run(asns, workers)
         # Store-backed datasets buffer writes; completing a batch is a
         # durability point either way.
         self.dataset.flush()
-        self._m_cache_hit_rate.set(self.cache.stats().hit_rate)
         return self.dataset
+
+    def _run(
+        self, asns: Optional[Sequence[int]], workers: int
+    ) -> List[ASdbRecord]:
+        """Drive ``asns`` through the engine and merge the records."""
+        from .parallel import run_batch
+
+        records = run_batch(self, asns=asns, workers=workers)
+        for record in records:
+            self.dataset.add(record)
+            if record.trace is not None:
+                self.runlog.emit("as.trace", **record.trace.to_dict())
+        self._m_cache_hit_rate.set(self.cache.stats().hit_rate)
+        return records
 
     @contextmanager
     def tag_traces(self, **tags: object):
@@ -238,85 +238,15 @@ class ASdb:
 
     # -- pipeline -----------------------------------------------------------
 
-    def _classify_one(self, asn: int) -> ASdbRecord:
-        """The scalar per-AS pass: drive the stage generator inline."""
-        builder = (
-            trace_builder(asn, self._trace_enabled, tags=self._trace_tags)
-            if self._trace_tags
-            else trace_builder(asn, self._trace_enabled)
-        )
-        with self._m_classify_seconds.time():
-            record = self._drive(asn, builder)
-        self._m_stage_total.inc(1, stage=record.stage.value)
-        self._m_cache_hit_rate.set(self.cache.stats().hit_rate)
-        trace = builder.finish()
-        if trace is not None:
-            record = replace(record, trace=trace)
-            self.runlog.emit("as.trace", **trace.to_dict())
-        return record
-
-    def _drive(self, asn: int, tb) -> ASdbRecord:
-        """Serve every request of one AS's stage generator, inline.
-
-        A served call that raises aborts this AS only: the error lands
-        on the trace builder and the suspended generator is *closed* in
-        the ``finally`` — its ``with tb.span(...)`` blocks unwind, so
-        no span is left open and no half-mutated cache entry survives
-        behind an exception.
-        """
-        steps = self._classify_steps(asn, tb)
-        try:
-            request = next(steps)
-            while True:
-                kind = request[0]
-                if kind == REQUEST_ASN_MATCH:
-                    reply: object = self._asn_lookup(Query(asn=request[1]))
-                elif kind == REQUEST_ML:
-                    reply = self._ml.classify_domain(request[1])
-                else:  # REQUEST_SOURCES
-                    reply = self._resolver.match_sources(
-                        request[1], request[2]
-                    )
-                request = steps.send(reply)
-        except StopIteration as stop:
-            return stop.value
-        except BaseException as exc:
-            tb.fail(f"{type(exc).__name__}: {exc}")
-            raise
-        finally:
-            steps.close()
-
-    def _asn_lookup(
-        self, query: Query
-    ) -> Tuple[Optional[SourceMatch], Optional[SourceMatch], Tuple[str, ...]]:
-        """Stage 1's reply: (peeringdb, ipinfo, degraded source names).
-
-        Sources wrapped by the resilience layer report failures as
-        degraded names; bare sources keep the original semantics (a
-        raising lookup propagates).
-        """
-        matches: List[Optional[SourceMatch]] = []
-        degraded: List[str] = []
-        for source in (self._peeringdb, self._ipinfo):
-            if hasattr(source, "try_lookup"):
-                outcome = source.try_lookup(query)
-                if outcome.failed:
-                    degraded.append(source.name)
-                matches.append(outcome.match)
-            else:
-                matches.append(source.lookup(query))
-        return matches[0], matches[1], tuple(degraded)
-
     def _classify_steps(self, asn: int, tb):
         """The Figure-4 stage sequence for one AS, as a generator.
 
         Yields a request tuple for every external call — ``(asn_match,
         asn)``, ``(ml, domain)``, ``(sources, contact, domain)`` — and
-        expects to be resumed (``send``) with the answer.  The scalar
-        driver serves each request with the per-item call; the batch
-        engine suspends many generators at the same request kind and
-        serves them through one bulk call.  Because every stage decision
-        lives in here, the two execution modes cannot diverge.
+        expects to be resumed (``send``) with the answer.  The batch
+        engine (:func:`repro.core.parallel.run_batch`) suspends many
+        generators at the same request kind and serves them through one
+        bulk call; every stage decision lives in here.
         """
         parsed = self._registry.parsed(asn)
         contact = self._registry.contact(asn)

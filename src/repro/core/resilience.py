@@ -28,10 +28,11 @@ fault oracle rather than the wall clock.  The circuit breaker is the
 one deliberately shared piece of state: it is count-based (never
 time-based), so its transitions are reproducible for a fixed call
 order, and for a uniformly-down source its open-state rejections
-produce the same per-record outcome as the failed probes they replace —
-which is why a scalar and a batch run over the same
-:class:`~repro.datasources.faults.FaultPlan` still produce identical
-records.
+produce the same per-record outcome as the failed probes they replace.
+The batch engine makes every source call on its calling thread, in one
+order at any worker count, so a run over a
+:class:`~repro.datasources.faults.FaultPlan` produces identical records
+at every ``workers``.
 
 Metrics (all no-op without a registry): ``asdb_source_errors_total
 {source, kind}``, ``asdb_retries_total{source}``,

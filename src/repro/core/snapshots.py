@@ -62,6 +62,7 @@ from .persistence import (
     record_from_item,
     record_to_item,
 )
+from .store import StoreError
 
 __all__ = [
     "SnapshotError",
@@ -711,11 +712,17 @@ class SnapshotStore:
     def _read_json(self, filename: str, version: int,
                    walk: Optional[List[Tuple[str, str]]] = None):
         """One stored document, parsed; with ``walk``, the digest of
-        the bytes parsed is appended to it as ``(filename, digest)``."""
+        the bytes parsed is appended to it as ``(filename, digest)``.
+        Bytes that do not decode as JSON are :class:`SnapshotCorruption`."""
         data = self._read_file(filename, version)
         if walk is not None:
             walk.append((filename, _blake2b(data)))
-        return json.loads(data.decode("utf-8"))
+        try:
+            return json.loads(data.decode("utf-8"))
+        except ValueError as exc:
+            raise SnapshotCorruption(
+                f"v{version}: cannot parse document {filename}: {exc}"
+            ) from exc
 
     def _full_document_name(
         self,
@@ -926,14 +933,22 @@ class SnapshotStore:
             )
         dataset = ASdbDataset() if into is None else into
         try:
-            for item in self._full_items(base_name, base.version):
-                dataset.add(record_from_item(item))
-            for delta_info in chain:
-                changed, removed = self._read_delta(delta_info)
-                for asn in removed:
-                    dataset.remove(asn)
-                for item in changed:
+            try:
+                for item in self._full_items(base_name, base.version):
                     dataset.add(record_from_item(item))
+                for delta_info in chain:
+                    changed, removed = self._read_delta(delta_info)
+                    for asn in removed:
+                        dataset.remove(asn)
+                    for item in changed:
+                        dataset.add(record_from_item(item))
+            except (SnapshotError, StoreError):
+                raise
+            except _MALFORMED as exc:
+                raise SnapshotCorruption(
+                    f"v{target.version}: malformed stored document: "
+                    f"{exc!r}"
+                ) from exc
             dataset.flush()
             self._verify(target, dataset_digest(dataset))
         except BaseException:

@@ -24,6 +24,7 @@ __all__ = [
     "SourceEntry",
     "SourceMatch",
     "DataSource",
+    "lookup_outcomes",
     "SourceAttributes",
     "SOURCE_CATALOG",
 ]
@@ -135,6 +136,25 @@ class DataSource(abc.ABC):
     def coverage_count(self) -> int:
         """Number of classified entries in the directory (0 if unknown)."""
         return 0
+
+
+def lookup_outcomes(
+    source, queries: Sequence[Query]
+) -> List[Tuple[Optional[SourceMatch], bool]]:
+    """``(match, failed)`` for each query, from one bulk call: the one
+    failure rule for sources.
+
+    A source with ``try_lookup_many`` (the resilience layer's
+    ``ResilientSource``) reports each query it could not answer as
+    failed, and the pipeline records it as a degraded source; any other
+    source's exception propagates.
+    """
+    if hasattr(source, "try_lookup_many"):
+        return [
+            (outcome.match, outcome.failed)
+            for outcome in source.try_lookup_many(queries)
+        ]
+    return [(match, False) for match in source.lookup_many(queries)]
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ Determinism is the design center.  Every fault decision is a pure
 function of ``(plan seed, source name, query identifiers, attempt
 number)`` — there is **no mutable fault state** — so:
 
-* the scalar driver and the batch engine see the *same* fault for the
-  same query, regardless of call order, batching, or thread schedule;
+* a scalar and a bulk lookup see the *same* fault for the same
+  query, regardless of call order, batching, or thread schedule;
 * a retry (attempt 1, 2, ...) re-rolls the dice deterministically, so
   transient faults genuinely clear on retry while an ``outage_rate`` of
   1.0 models a source that is permanently down;
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..taxonomy import LabelSet
@@ -188,12 +188,6 @@ class FaultPlan:
             },
         )
 
-    def with_source(self, name: str, spec: FaultSpec) -> "FaultPlan":
-        """A copy of the plan with one source's spec replaced."""
-        merged = dict(self.per_source)
-        merged[name] = spec
-        return replace(self, per_source=merged)
-
     def spec_for(self, source_name: str) -> FaultSpec:
         return self.per_source.get(source_name, self.default)
 
@@ -267,7 +261,7 @@ class FaultySource(DataSource):
     """A :class:`DataSource` decorator that injects a :class:`FaultPlan`.
 
     Both ``lookup`` and ``lookup_many`` draw faults per query from the
-    plan's pure hash, so scalar and batch drivers observe identical
+    plan's pure hash, so scalar and bulk lookups observe identical
     fault sequences.  ``lookup_attempt`` exposes the attempt dimension
     to the retry layer; plain ``lookup`` is always attempt 0.
 

@@ -19,7 +19,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..datasources.base import DataSource, Query, SourceMatch
+from ..datasources.base import (
+    DataSource, Query, SourceMatch, lookup_outcomes,
+)
 from ..obs.metrics import MetricsRegistry, NULL_REGISTRY
 from ..web.site import WebUniverse
 from ..whois.extraction import ExtractedContact
@@ -151,58 +153,21 @@ class EntityResolver:
         contact: ExtractedContact,
         domain: Optional[str],
     ) -> ResolvedSources:
-        """Match into every configured source with a known domain."""
-        query = Query(
-            name=contact.name,
-            domain=domain,
-            address=contact.address,
-            phone=contact.phone,
-            asn=contact.asn,
-        )
-        matches: Dict[str, SourceMatch] = {}
-        rejected: List[str] = []
-        reasons: Dict[str, str] = {}
-        degraded: List[str] = []
-        for source in self._sources:
-            if hasattr(source, "try_lookup"):
-                outcome = source.try_lookup(query)
-                if outcome.failed:
-                    degraded.append(source.name)
-                    continue
-                match = outcome.match
-            else:
-                match = source.lookup(query)
-            if match is None:
-                continue
-            reason = self._reject_reason(match, domain)
-            if reason is not None:
-                rejected.append(source.name)
-                reasons[source.name] = reason
-                self._m_decisions.inc(1, source=source.name, outcome=reason)
-                continue
-            matches[source.name] = match
-            self._m_decisions.inc(1, source=source.name, outcome="accepted")
-        return ResolvedSources(
-            asn=contact.asn,
-            chosen_domain=domain,
-            matches=matches,
-            rejected=tuple(rejected),
-            rejected_reasons=reasons,
-            degraded=tuple(degraded),
-        )
+        """Match into every configured source with a known domain (a
+        one-item :meth:`match_sources_many`)."""
+        return self.match_sources_many([(contact, domain)])[0]
 
     def match_sources_many(
         self,
         items: Sequence[Tuple[ExtractedContact, Optional[str]]],
     ) -> List[ResolvedSources]:
-        """Batch :meth:`match_sources` over ``(contact, domain)`` pairs.
+        """Match ``(contact, domain)`` pairs into every configured
+        source, one bulk call per source for the whole batch.
 
-        Calls each source's bulk endpoint once for the whole batch
-        instead of once per AS.  Accept/reject logic, its ordering
-        within an item, and the decision counters are the scalar path's
-        exactly — lookups are deterministic per query, so results are
-        elementwise identical to ``[match_sources(c, d) for c, d in
-        items]``.
+        Lookups are deterministic per query, so each item's result does
+        not depend on the batch around it.  A source that fails a query
+        (:func:`~repro.datasources.base.lookup_outcomes`) is listed in
+        that item's ``degraded``.
         """
         queries = [
             Query(
@@ -219,15 +184,11 @@ class EntityResolver:
         reasons: List[Dict[str, str]] = [{} for _ in items]
         degraded: List[List[str]] = [[] for _ in items]
         for source in self._sources:
-            if hasattr(source, "try_lookup_many"):
-                results = [
-                    outcome.match for outcome in self._note_degraded(
-                        source, source.try_lookup_many(queries), degraded
-                    )
-                ]
-            else:
-                results = source.lookup_many(queries)
-            for index, match in enumerate(results):
+            outcomes = lookup_outcomes(source, queries)
+            for index, (match, failed) in enumerate(outcomes):
+                if failed:
+                    degraded[index].append(source.name)
+                    continue
                 if match is None:
                     continue
                 reason = self._reject_reason(match, items[index][1])
@@ -253,15 +214,6 @@ class EntityResolver:
             )
             for index, (contact, domain) in enumerate(items)
         ]
-
-    @staticmethod
-    def _note_degraded(source, outcomes, degraded: List[List[str]]):
-        """Record failed slots of a bulk resilient lookup, pass the
-        outcomes through unchanged."""
-        for index, outcome in enumerate(outcomes):
-            if outcome.failed:
-                degraded[index].append(source.name)
-        return outcomes
 
     def resolve(
         self,
@@ -290,7 +242,3 @@ class EntityResolver:
             # domain: likely an entity disagreement (Section 3.5).
             return REASON_DOMAIN_MISMATCH
         return None
-
-    def _accept(self, match: SourceMatch, domain: Optional[str]) -> bool:
-        """Backwards-compatible boolean form of :meth:`_reject_reason`."""
-        return self._reject_reason(match, domain) is None

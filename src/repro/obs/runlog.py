@@ -161,8 +161,6 @@ class RunLog:
         self._seq = 0
         self._span_counter = 0
         self._closed = False
-        self._sampler_thread: Optional[threading.Thread] = None
-        self._sampler_stop = threading.Event()
         if not self.enabled:
             return
         config = dict(config or {})
@@ -306,36 +304,6 @@ class RunLog:
                 sample[name] = {"error": f"{type(exc).__name__}: {exc}"}
         self.emit("resource.sample", **sample)
 
-    def start_sampling(
-        self,
-        interval_seconds: float,
-        providers: Optional[
-            Mapping[str, Callable[[], Mapping[str, object]]]
-        ] = None,
-    ) -> None:
-        """Start a daemon thread emitting ``resource.sample`` events
-        every ``interval_seconds`` until :meth:`stop_sampling`/close."""
-        if not self.enabled or self._sampler_thread is not None:
-            return
-        self._sampler_stop.clear()
-
-        def _loop() -> None:
-            while not self._sampler_stop.wait(interval_seconds):
-                self.sample_resources(providers, phase="periodic")
-
-        self._sampler_thread = threading.Thread(
-            target=_loop, name="runlog-sampler", daemon=True
-        )
-        self._sampler_thread.start()
-
-    def stop_sampling(self) -> None:
-        """Stop the periodic sampler thread, if running."""
-        if self._sampler_thread is None:
-            return
-        self._sampler_stop.set()
-        self._sampler_thread.join(timeout=5.0)
-        self._sampler_thread = None
-
     # -- lifecycle ----------------------------------------------------------
 
     def finish(
@@ -354,7 +322,6 @@ class RunLog:
         """
         if not self.enabled:
             return
-        self.stop_sampling()
         fields: Dict[str, object] = {
             "status": status,
             "duration": round(self.elapsed(), 6),
@@ -369,7 +336,6 @@ class RunLog:
         """Flush and close the file; later emissions are dropped."""
         if not self.enabled:
             return
-        self.stop_sampling()
         with self._lock:
             if self._closed:
                 return

@@ -149,10 +149,9 @@ class QueueWorker(threading.Thread):
         queue: The bounded queue to drain.
         classify: ``classify(asns)`` — typically a closure over
             :meth:`ASdb.classify_batch`; called with each drained
-            window.  A raising batch falls back to per-ASN
-            classification so one bad ASN cannot poison its window.
-        classify_one: ``classify_one(asn)`` fallback used for the
-            per-ASN retry; errors are recorded as failures.
+            window.  A raising batch falls back to ``classify([asn])``
+            per ASN so one bad ASN cannot poison its window; errors
+            are recorded as failures.
         after: Called with each settled batch (successes only) — the
             service hooks its rebuild-and-swap here, which is how
             queued results "land in the next swap".
@@ -164,7 +163,6 @@ class QueueWorker(threading.Thread):
         self,
         queue: ClassificationQueue,
         classify: Callable[[List[int]], object],
-        classify_one: Optional[Callable[[int], object]] = None,
         after: Optional[Callable[[List[int]], object]] = None,
         batch_size: int = 16,
         poll_seconds: float = 0.05,
@@ -172,7 +170,6 @@ class QueueWorker(threading.Thread):
         super().__init__(name="serving-queue-worker", daemon=True)
         self._queue = queue
         self._classify = classify
-        self._classify_one = classify_one
         self._after = after
         self._batch_size = max(1, batch_size)
         self._poll = poll_seconds
@@ -210,10 +207,7 @@ class QueueWorker(threading.Thread):
             # are remembered as failed.
             for asn in batch:
                 try:
-                    if self._classify_one is not None:
-                        self._classify_one(asn)
-                    else:
-                        self._classify([asn])
+                    self._classify([asn])
                 except Exception as exc:
                     failures[asn] = f"{type(exc).__name__}: {exc}"
         self._queue.settle(batch, failures)

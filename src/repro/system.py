@@ -51,9 +51,8 @@ class SystemConfig:
             (sources, resolver, scraper, ML, pipeline); None disables
             metering with zero behavior change.
         trace: Attach a per-stage span trace to every record.
-        workers: Default worker count for ``classify_all``; above 1 the
-            whole-registry pass runs through the batch engine (output
-            stays byte-identical to the sequential pass).
+        workers: Default worker count for ``classify_all`` (output is
+            byte-identical at every count).
         faults: Fault-injection plan applied to every source (testing /
             chaos runs); None leaves the sources untouched.
         retry: Retry/breaker policy wrapped around every source.  None

@@ -118,12 +118,6 @@ class World:
             raise KeyError(f"unknown org {info.org_id}")
         self.ases[info.asn] = info
 
-    def replace_organization(self, org: Organization) -> None:
-        """Update an existing organization in place (ownership churn)."""
-        if org.org_id not in self.organizations:
-            raise KeyError(f"unknown org {org.org_id}")
-        self.organizations[org.org_id] = org
-
     # -- ground-truth queries ----------------------------------------------
 
     def org_of_asn(self, asn: int) -> Organization:

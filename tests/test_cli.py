@@ -390,7 +390,7 @@ class TestObservabilityFlags:
         assert 'outcome="match"' in text and 'outcome="miss"' in text
         # Latency histograms with cumulative buckets.
         assert "asdb_classify_seconds_bucket" in text
-        assert "asdb_source_lookup_seconds_bucket" in text
+        assert "asdb_source_batch_seconds_bucket" in text
         assert "asdb_domain_choice_seconds_bucket" in text
         assert 'le="+Inf"' in text
         # Cache hit-rate gauge.
@@ -548,6 +548,35 @@ class TestReleaseCommands:
         document = json.loads(capsys.readouterr().out)
         assert document["from"] == 1 and document["to"] == 2
         assert isinstance(document["added"], list)
+
+    @pytest.mark.parametrize("corruption", ["missing_key", "truncated"])
+    @pytest.mark.parametrize("argv", [
+        ["asof", "--version", "1"],
+        ["diff", "--from", "1", "--to", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_corrupt_document_is_an_error_not_a_traceback(
+        self, store, capsys, argv, corruption
+    ):
+        assert main(
+            ["snapshot", "--store", store, "--n-orgs", "3",
+             "--seed", "11", "--no-ml"]
+        ) == 0
+        path = os.path.join(store, "v0001.full.json")
+        with open(path) as handle:
+            text = handle.read()
+        if corruption == "missing_key":
+            document = json.loads(text)
+            del document["records"][0]["stage"]
+            text = json.dumps(document, indent=2)
+        else:
+            text = text[:len(text) // 2]
+        with open(path, "w") as handle:
+            handle.write(text)
+        capsys.readouterr()
+        assert main(argv[:1] + ["--store", store] + argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: v1: ")
+        assert "Traceback" not in err
 
     def test_zero_day_refresh_reclassifies_nothing(self, store, capsys):
         assert self._snapshot(store) == 0

@@ -67,6 +67,9 @@ class StubML:
             hosting_score=0.9 if self._verdict["is_hosting"] else 0.1,
         )
 
+    def classify_domains(self, domains):
+        return [self.classify_domain(domain) for domain in domains]
+
 
 def _registry_with_one_as(asn=65001, domain="stub.example"):
     registry = WhoisRegistry()

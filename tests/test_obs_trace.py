@@ -231,8 +231,8 @@ class TestPipelineMetrics:
 
     def test_ml_and_scrape_metrics_present_when_ml_on(self, run):
         registry, _, _ = run
-        assert registry.get("asdb_ml_classify_seconds").count() > 0
-        assert registry.get("asdb_scrape_seconds").count() > 0
+        assert registry.get("asdb_ml_batch_seconds").count() > 0
+        assert registry.get("asdb_scrape_batch_seconds").count() > 0
         verdicts = registry.get("asdb_ml_verdicts_total")
         assert verdicts.total() > 0
 

@@ -1,12 +1,14 @@
 """The batch classification engine: determinism, bulk endpoints, cache.
 
-The tentpole guarantee under test: ``classify_batch(workers=N)`` is
-byte-identical to the sequential ascending-ASN ``classify_all`` pass —
-same labels, stages, domains, sources, and cache keys per record, same
-CSV serialization — on worlds with heavy organization-sibling overlap
-(where the cluster planner and the shared cache actually matter).
+The guarantee under test: ``classify_batch(workers=N)`` is
+byte-identical to the scalar reference pass (:mod:`scalar_reference`:
+one AS at a time, ascending, per-item calls) — same labels, stages,
+domains, sources, and cache keys per record, same CSV serialization —
+on worlds with heavy organization-sibling overlap (where the cluster
+planner and the shared cache actually matter).
 """
 
+import sys
 import threading
 
 import pytest
@@ -15,8 +17,10 @@ from repro import SystemConfig, WorldConfig, build_asdb, generate_world
 from repro.core import OrganizationCache, plan_clusters
 from repro.core.cache import org_cache_key
 from repro.datasources.base import Query
+from repro.obs import MetricsRegistry
 from repro.system import build_sources
 from repro.web.translate import translate_many, translate_to_english
+from scalar_reference import classify_ascending, match_sources
 
 
 def _sibling_world(seed, n_orgs=70):
@@ -39,50 +43,45 @@ def _assert_records_identical(sequential, batched):
     assert batched.to_csv() == sequential.to_csv()
 
 
+def _reference(world, config, asns=None):
+    return classify_ascending(build_asdb(world, config).asdb, asns)
+
+
 class TestBatchIdentity:
     @pytest.mark.parametrize("seed", [5, 21, 47])
     def test_workers_4_identical_to_sequential(self, seed):
         world = _sibling_world(seed)
-        sequential = build_asdb(
-            world, SystemConfig(seed=seed, train_ml=False)
-        ).asdb.classify_all()
-        batched = build_asdb(
-            world, SystemConfig(seed=seed, train_ml=False)
-        ).asdb.classify_batch(workers=4)
+        config = SystemConfig(seed=seed, train_ml=False)
+        sequential = _reference(world, config)
+        batched = build_asdb(world, config).asdb.classify_batch(workers=4)
         _assert_records_identical(sequential, batched)
 
     def test_with_ml_identical_to_sequential(self):
         world = _sibling_world(5, n_orgs=60)
-        sequential = build_asdb(
-            world, SystemConfig(seed=7)
-        ).asdb.classify_all()
-        batched = build_asdb(
-            world, SystemConfig(seed=7)
-        ).asdb.classify_batch(workers=4)
+        config = SystemConfig(seed=7)
+        sequential = _reference(world, config)
+        batched = build_asdb(world, config).asdb.classify_batch(workers=4)
         _assert_records_identical(sequential, batched)
 
     def test_workers_1_identical_to_sequential(self):
         world = _sibling_world(9)
-        sequential = build_asdb(
-            world, SystemConfig(seed=3, train_ml=False)
-        ).asdb.classify_all()
-        batched = build_asdb(
-            world, SystemConfig(seed=3, train_ml=False)
-        ).asdb.classify_batch(workers=1)
+        config = SystemConfig(seed=3, train_ml=False)
+        sequential = _reference(world, config)
+        batched = build_asdb(world, config).asdb.classify_batch(workers=1)
         _assert_records_identical(sequential, batched)
 
     def test_cache_disabled_identical_to_sequential(self):
         world = _sibling_world(13)
         config = SystemConfig(seed=3, train_ml=False, use_cache=False)
-        sequential = build_asdb(world, config).asdb.classify_all()
+        sequential = _reference(world, config)
         batched = build_asdb(world, config).asdb.classify_batch(workers=4)
         _assert_records_identical(sequential, batched)
 
     def test_classify_all_workers_dispatches_to_batch(self):
         world = _sibling_world(9)
-        sequential = build_asdb(
+        sequential = _reference(
             world, SystemConfig(seed=3, train_ml=False)
-        ).asdb.classify_all()
+        )
         via_config = build_asdb(
             world, SystemConfig(seed=3, train_ml=False, workers=4)
         ).asdb.classify_all()
@@ -91,16 +90,42 @@ class TestBatchIdentity:
     def test_batch_subset_of_asns(self):
         world = _sibling_world(5)
         asns = world.asns()[: len(world.asns()) // 2]
+        config = SystemConfig(seed=5, train_ml=False)
+        reference = _reference(world, config, asns)
+        batched = build_asdb(world, config).asdb.classify_batch(
+            asns=asns, workers=4
+        )
+        _assert_records_identical(reference, batched)
+
+    def test_more_workers_than_cores_with_frequent_switches(self):
+        # Chains finish members on pool threads: a lost update to a
+        # shared counter or the cache would show here.
+        world = _sibling_world(47)
+        sequential = _reference(world, SystemConfig(seed=3, train_ml=False))
+        registry = MetricsRegistry()
         asdb = build_asdb(
-            world, SystemConfig(seed=5, train_ml=False)
+            world, SystemConfig(seed=3, train_ml=False, metrics=registry)
         ).asdb
-        reference = build_asdb(
-            world, SystemConfig(seed=5, train_ml=False)
-        ).asdb
-        for asn in asns:
-            reference.classify(asn)
-        batched = asdb.classify_batch(asns=asns, workers=4)
-        _assert_records_identical(reference.dataset, batched)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            batched = asdb.classify_batch(workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        _assert_records_identical(sequential, batched)
+        assert registry.get("asdb_stage_total").total() == len(batched)
+        assert registry.get("asdb_classify_seconds").count() == len(batched)
+        stats = asdb.cache.stats()
+        assert stats.hits + stats.misses + stats.none_keys == len(batched)
+
+    def test_per_as_classify_loop_identical_to_sequential(self):
+        world = _sibling_world(21)
+        config = SystemConfig(seed=3, train_ml=False)
+        sequential = _reference(world, config)
+        asdb = build_asdb(world, config).asdb
+        for asn in world.asns():
+            asdb.classify(asn)
+        _assert_records_identical(sequential, asdb.dataset)
 
 
 class TestClusterPlanning:
@@ -204,10 +229,15 @@ class TestBulkEndpoints:
             contact = world.registry.contact(asn)
             items.append((contact, world.org_of_asn(asn).domain))
             items.append((contact, None))
-        assert resolver.match_sources_many(items) == [
-            resolver.match_sources(contact, domain)
+        scalar = [
+            match_sources(resolver, contact, domain)
             for contact, domain in items
         ]
+        assert resolver.match_sources_many(items) == scalar
+        assert [
+            resolver.match_sources(contact, domain)
+            for contact, domain in items
+        ] == scalar
 
 
 class TestThreadSafeCache:

@@ -38,6 +38,7 @@ from repro.evaluation import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceBuilder
 from repro.taxonomy import LabelSet
+from scalar_reference import classify_ascending
 
 
 class _StaticSource(DataSource):
@@ -330,17 +331,20 @@ class TestResilientSource:
 
 
 class TestPipelineParityUnderFaults:
-    """Same seed + FaultPlan => scalar and batch runs are identical,
-    including the degraded_sources provenance."""
+    """Same seed + FaultPlan => the scalar reference pass and the batch
+    engine are identical, including the degraded_sources provenance."""
 
     def _records(self, world, workers, plan, policy, train_ml=False):
+        """``workers=None`` runs the scalar reference pass."""
         built = build_asdb(
             world,
             SystemConfig(
-                seed=7, train_ml=train_ml, workers=workers,
+                seed=7, train_ml=train_ml, workers=workers or 1,
                 faults=plan, retry=policy,
             ),
         )
+        if workers is None:
+            return list(classify_ascending(built.asdb))
         return list(built.asdb.classify_all())
 
     def _assert_identical(self, scalar, batched):
@@ -364,7 +368,7 @@ class TestPipelineParityUnderFaults:
             seed=7, backoff_base=0.0, breaker_enabled=False
         )
         for train_ml in (False, True):
-            scalar = self._records(world, 1, plan, policy, train_ml)
+            scalar = self._records(world, None, plan, policy, train_ml)
             batched = self._records(world, 4, plan, policy, train_ml)
             self._assert_identical(scalar, batched)
             assert any(record.degraded_sources for record in scalar)
@@ -379,7 +383,7 @@ class TestPipelineParityUnderFaults:
         world = _tiny_world(seed=11, n_orgs=40)
         plan = FaultPlan.down("crunchbase", seed=11)
         policy = RetryPolicy(seed=11, max_retries=1, backoff_base=0.0)
-        scalar = self._records(world, 1, plan, policy)
+        scalar = self._records(world, None, plan, policy)
         batched = self._records(world, 4, plan, policy)
         self._assert_identical(scalar, batched)
 
@@ -472,12 +476,17 @@ class TestDriverErrorCleanup:
     """Regression: a served call that raises must close the suspended
     stage generator and finish the trace with an error status."""
 
-    def test_scalar_drive_closes_generator_and_fails_trace(self):
+    def test_classify_closes_generator_and_fails_trace(
+        self, monkeypatch
+    ):
+        from repro.core import parallel
+
         world = _tiny_world(seed=5, n_orgs=20)
         asdb = build_asdb(
-            world, SystemConfig(seed=5, train_ml=False)
+            world, SystemConfig(seed=5, train_ml=False, trace=True)
         ).asdb
         cleaned = []
+        builders = []
 
         def probe(asn, tb):
             try:
@@ -486,14 +495,24 @@ class TestDriverErrorCleanup:
             finally:
                 cleaned.append(asn)
 
+        def recording_trace_builder(asn, enabled):
+            builders.append(TraceBuilder(asn))
+            return builders[-1]
+
+        monkeypatch.setattr(
+            parallel, "trace_builder", recording_trace_builder
+        )
         asdb._classify_steps = probe
-        asdb._peeringdb.lookup = _raise_runtime_error
+        # A bare source (no resilience wrapper) that raises: the error
+        # propagates instead of degrading.
+        asdb._peeringdb = _ExplodingSource()
         asn = world.asns()[0]
-        tb = TraceBuilder(asn)
         with pytest.raises(RuntimeError, match="source exploded"):
-            asdb._drive(asn, tb)
+            asdb.classify(asn)
         assert cleaned == [asn]
-        trace = tb.finish()
+        assert asn not in asdb.dataset
+        (builder,) = builders
+        trace = builder.finish()
         assert trace.error == "RuntimeError: source exploded"
         assert "aborted: RuntimeError" in _narrated(trace)
 
@@ -546,6 +565,13 @@ class TestDriverErrorCleanup:
 
 def _raise_runtime_error(*args, **kwargs):
     raise RuntimeError("source exploded")
+
+
+class _ExplodingSource(DataSource):
+    name = "peeringdb"
+
+    def lookup(self, query):
+        _raise_runtime_error()
 
 
 def _narrated(trace):
@@ -605,6 +631,24 @@ class TestCliResilience:
         assert "asdb_source_errors_total" in text
         assert "asdb_retries_total" in text
         assert "asdb_breaker_state" in text
+
+    def test_worker_count_does_not_change_faulted_output(
+        self, tmp_path, capsys
+    ):
+        # The breaker's shedding depends on the order of source calls;
+        # every worker count makes them in one order.
+        outputs = []
+        for workers in ("1", "2", "4"):
+            out = tmp_path / f"faults{workers}.json"
+            assert main([
+                "classify", "--n-orgs", "60", "--seed", "11",
+                "--inject-faults", "--workers", workers,
+                "--out", str(out),
+            ]) == 0
+            outputs.append(out.read_bytes())
+        capsys.readouterr()
+        assert b'"degraded_sources"' in outputs[0]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_dump_parse_missing_file_exits_2(self, capsys):
         code = main(["dump", "--parse", "/no/such/dump.txt"])

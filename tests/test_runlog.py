@@ -173,9 +173,7 @@ class TestDisabledRunLog:
             assert span.span_id is None
             span.set_status("ok").note(k=1)
         log.sample_resources({"c": lambda: {}}, phase="p")
-        log.start_sampling(0.01)
         assert threading.active_count() == threads
-        log.stop_sampling()
         log.finish(status="ok", metrics=MetricsRegistry())
         log.close()
         assert list(tmp_path.iterdir()) == []
@@ -216,19 +214,21 @@ class TestPipelineLedger:
         batch = by_name["classify_batch"]
         assert len(batch) == 1
         batch_id = batch[0]["span_id"]
-        # Leader spans come from pool worker threads and parent to the
-        # batch span.
-        leaders = by_name["batch.leader"]
-        assert leaders
-        assert {span["parent_id"] for span in leaders} == {batch_id}
+        # One span per organization chain, from pool worker threads,
+        # parented to the batch span; together they cover every AS.
+        chains = by_name["batch.chain"]
+        assert len(chains) == batch[0]["attributes"]["clusters"]
+        assert {span["parent_id"] for span in chains} == {batch_id}
         assert "thread" in {
-            span["worker"]["kind"] for span in leaders
+            span["worker"]["kind"] for span in chains
         }
+        assert sum(
+            span["attributes"]["members"] for span in chains
+        ) == len(dataset)
         # Phase spans are main-side children of the batch span.
-        for phase in ("batch.front", "batch.siblings"):
-            (span,) = by_name[phase]
-            assert span["parent_id"] == batch_id
-            assert span["worker"]["kind"] == "main"
+        (span,) = by_name["batch.front"]
+        assert span["parent_id"] == batch_id
+        assert span["worker"]["kind"] == "main"
 
     def test_every_trace_lands_in_ledger(self, ledger):
         events, dataset, _ = ledger

@@ -541,7 +541,6 @@ class TestHttpEndToEnd:
         app.worker = QueueWorker(
             queue,
             classify=lambda asns: built.asdb.classify_batch(asns),
-            classify_one=built.asdb.classify,
             after=app.on_drained,
         )
         asn = world.asns()[-1]
