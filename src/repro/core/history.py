@@ -12,7 +12,8 @@ analytics across releases as a first-class product.
   from the nearest checkpoint;
 - :meth:`~ReleaseHistory.timeline` yields one AS's per-version
   classification trajectory by scanning the recorded delta chain —
-  no dataset is ever materialized;
+  no dataset is ever materialized, and each of that AS's stored items
+  is parsed as a load would parse it;
 - :meth:`~ReleaseHistory.churn` computes category-flow analytics
   between two releases through scratch stores (O(batch) residency).
 
@@ -26,7 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .snapshots import SnapshotError, SnapshotInfo, SnapshotStore
+from .persistence import record_from_item
+from .snapshots import (
+    _MALFORMED,
+    SnapshotCorruption,
+    SnapshotError,
+    SnapshotInfo,
+    SnapshotStore,
+)
 
 __all__ = [
     "ABSENT",
@@ -289,12 +297,27 @@ class ReleaseHistory:
         narrowed to this AS.  Deltas are scanned as recorded (never
         their checkpoints) and no dataset is ever materialized.  Empty
         when the AS never appears.
+
+        Each of the AS's items is parsed as :meth:`SnapshotStore.load`
+        parses it, so a malformed one raises
+        :class:`~repro.core.snapshots.SnapshotCorruption` with load's
+        message, at O(events of this AS).  The fold itself parses
+        nothing (it runs in every serving refresh), and no version's
+        digest is checked: a well-formed edit still passes.
         """
-        chain = [
-            (info, [item for item in changed if int(item["asn"]) == asn],
-             [gone for gone in removed if gone == asn])
-            for info, changed, removed in self._store.deltas_since(0)
-        ]
+        chain = []
+        for info, changed, removed in self._store.deltas_since(0):
+            try:
+                mine = [item for item in changed if int(item["asn"]) == asn]
+                for item in mine:
+                    record_from_item(item)
+            except _MALFORMED as exc:
+                raise SnapshotCorruption(
+                    f"v{info.version}: malformed stored document: {exc!r}"
+                ) from exc
+            chain.append(
+                (info, mine, [gone for gone in removed if gone == asn])
+            )
         return fold_timelines({}, chain).get(asn, ())
 
     def timelines(self) -> Dict[int, Tuple[TimelineEvent, ...]]:

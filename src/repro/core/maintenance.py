@@ -120,13 +120,13 @@ class MaintenanceDaemon:
 
     Args:
         asdb: The pipeline whose dataset/cache the daemon maintains.
-        workers: Default worker count for each sweep's batch pass.
+        workers: Worker count for each sweep's batch pass.
         snapshots: Optional store; every sweep then records a dataset
             version carrying the sweep window and provenance.
         last_day: Day the previous sweep ran (-1 before the first);
             pass a stored value to resume a release history across
             processes.
-        batch_size: Default ASN-window size for the classify phase.
+        batch_size: ASN-window size for the classify phase.
             ``None`` (the default) classifies each sweep's changed set
             in one batch, exactly as before; a bound makes the sweep
             *streaming* — changed ASNs are classified in consecutive
@@ -192,12 +192,7 @@ class MaintenanceDaemon:
         """The attached snapshot store, if any."""
         return self._snapshots
 
-    def sweep(
-        self,
-        current_day: int,
-        workers: Optional[int] = None,
-        batch_size: Optional[int] = None,
-    ) -> SweepReport:
+    def sweep(self, current_day: int) -> SweepReport:
         """Reclassify everything that changed in ``(last_day,
         current_day]``.
 
@@ -207,8 +202,8 @@ class MaintenanceDaemon:
         dataset and the organization cache first — stale sibling
         aliases included — then classified.
 
-        With a ``batch_size`` (here or on the daemon), the classify
-        phase streams: the ascending changed-ASN list is split into
+        With the daemon's ``batch_size`` set, the classify phase
+        streams: the ascending changed-ASN list is split into
         consecutive windows, each classified with
         :meth:`~repro.core.pipeline.ASdb.classify_batch` and flushed to
         the dataset store before the next begins, and each window emits
@@ -223,7 +218,6 @@ class MaintenanceDaemon:
                 f"sweep day {current_day} precedes the last swept day "
                 f"{self._last_day}"
             )
-        effective = self._workers if workers is None else max(1, workers)
         registry = self._asdb._registry
         runlog = self._asdb.runlog
         tb = trace_builder(current_day, self._asdb._trace_enabled)
@@ -270,23 +264,14 @@ class MaintenanceDaemon:
                 span.set_status(f"{purged} purged")
 
             with tb.span("classify") as span:
-                step = (
-                    batch_size
-                    if batch_size is not None
-                    else self._batch_size
-                )
-                if step is not None and step < 1:
-                    raise ValueError(
-                        f"batch_size must be >= 1 or None, got {step}"
-                    )
                 windows = 0
                 if changed:
-                    stride = step if step is not None else len(changed)
+                    stride = self._batch_size or len(changed)
                     with self._asdb.tag_traces(**sweep_tags):
                         for offset in range(0, len(changed), stride):
                             window_asns = changed[offset:offset + stride]
                             self._asdb.classify_batch(
-                                asns=window_asns, workers=effective
+                                asns=window_asns, workers=self._workers
                             )
                             self._asdb.dataset.flush()
                             windows += 1
@@ -300,7 +285,7 @@ class MaintenanceDaemon:
                                 size=len(window_asns),
                             )
                 span.set_status(f"{len(changed)} reclassified")
-                span.note(workers=effective, windows=windows)
+                span.note(workers=self._workers, windows=windows)
             self._m_windows.inc(windows)
 
             version: Optional[int] = None

@@ -57,7 +57,6 @@ from typing import IO, Dict, Iterable, List, Optional, Tuple
 from .database import ASdbDataset, DatasetDiff, diff_record_streams
 from .persistence import (
     JsonFrame,
-    dataset_to_json,
     item_json,
     record_from_item,
     record_to_item,
@@ -1009,26 +1008,6 @@ class SnapshotStore:
                 if store is not None:
                     store.close()
             shutil.rmtree(scratch, ignore_errors=True)
-
-    def read_json(self, version: Optional[int] = None) -> str:
-        """The lossless JSON document for one version.
-
-        For versions with a stored full document — full snapshots and
-        checkpointed deltas — this is the file verbatim, byte identical
-        to the :func:`dataset_to_json` output at save time; other
-        deltas are materialized first (which re-serializes through the
-        same encoder, so the bytes still match).
-        """
-        if version is None:
-            latest = self.latest()
-            if latest is None:
-                raise SnapshotError("snapshot store is empty")
-            version = latest.version
-        info = self.info(version)
-        name = self._full_document_name(info)
-        if name is not None:
-            return self._read_file(name, info.version).decode("utf-8")
-        return dataset_to_json(self.load(version))
 
     def diff(self, old_version: int, new_version: int) -> DatasetDiff:
         """What changed from ``old_version`` to ``new_version``.

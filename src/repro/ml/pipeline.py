@@ -6,6 +6,12 @@
 Two binary classifiers are trained - one for hosting providers, one for
 ISPs - because these are the two largest AS categories and the ones the
 business databases misclassify the most (Section 4.1).
+
+Training and classification run the same stages through the same batch
+calls: :meth:`~repro.web.scraper.Scraper.gather_many` fetches,
+:meth:`~repro.web.scraper.Scraper.translate_texts` translates, and
+:meth:`TextScorer.score` scores.  ``classify_domain`` is a one-domain
+``classify_domains``.
 """
 
 from __future__ import annotations
@@ -29,6 +35,13 @@ __all__ = [
     "TextScorer",
     "WebClassificationPipeline",
 ]
+
+#: Vocabulary cap for the CountVectorizer.
+MAX_FEATURES = 4000
+#: SGD members per binary classifier.
+ENSEMBLE_SIZE = 3
+#: Ensemble-mean probability above which a flag is set.
+DECISION_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -90,9 +103,8 @@ class TextScorer:
     """The pipeline's frozen scoring head: translated text -> scores.
 
     Holds only fitted model state (vocabulary dict, IDF vector, SGD
-    weights).  The scalar and batch paths both score through this one
-    ``score`` method, and every transform in it is row-independent, so
-    a text's scores do not depend on what else was in its batch.
+    weights).  Every transform in ``score`` is row-independent, so a
+    text's scores do not depend on what else was in its batch.
     """
 
     __slots__ = ("_vectorizer", "_tfidf", "_isp", "_hosting")
@@ -124,31 +136,21 @@ class WebClassificationPipeline:
         scraper: The scraper to fetch site text with (carries its own
             translation and link-following configuration, which the
             ablation benches vary).
-        max_features: Vocabulary cap for the CountVectorizer.
-        ensemble_size: Number of SGD members per binary classifier.
         use_tfidf: Disable to feed raw counts to the classifiers (ablation).
         seed: Training seed.
-        decision_threshold: Probability above which a flag is set.
-        metrics: Optional metrics registry; emits per-domain
+        metrics: Optional metrics registry; emits per-batch
             classification latency and verdict-outcome counters.
     """
 
     def __init__(
         self,
         scraper: Scraper,
-        max_features: int = 4000,
-        ensemble_size: int = 3,
         use_tfidf: bool = True,
         seed: int = 0,
-        decision_threshold: float = 0.5,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self._scraper = scraper
         registry = metrics if metrics is not None else NULL_REGISTRY
-        self._m_classify_seconds = registry.histogram(
-            "asdb_ml_classify_seconds",
-            "Scrape+classify latency per domain.",
-        )
         self._m_verdicts = registry.counter(
             "asdb_ml_verdicts_total",
             "ML pipeline verdicts by outcome.",
@@ -181,14 +183,13 @@ class WebClassificationPipeline:
         self._featcache = FeatureCache()
         self._scorer: Optional[TextScorer] = None
         self._vectorizer = CountVectorizer(
-            min_df=2, max_features=max_features
+            min_df=2, max_features=MAX_FEATURES
         )
         self._tfidf = TfidfTransformer() if use_tfidf else None
-        self._isp = _BinaryEnsemble(ensemble_size, loss="log", seed=seed)
+        self._isp = _BinaryEnsemble(ENSEMBLE_SIZE, loss="log", seed=seed)
         self._hosting = _BinaryEnsemble(
-            ensemble_size, loss="log", seed=seed + 1000
+            ENSEMBLE_SIZE, loss="log", seed=seed + 1000
         )
-        self._threshold = decision_threshold
         self._fitted = False
 
     @property
@@ -204,26 +205,32 @@ class WebClassificationPipeline:
     def fit(self, examples: Sequence[TrainingExample]) -> "WebClassificationPipeline":
         """Scrape and train on labeled domains.
 
-        Unscrapable training sites are dropped (they carry no text signal),
-        mirroring the paper's practice of training on scraped text.
+        One :meth:`~repro.web.scraper.Scraper.gather_many` call fetches
+        every example; unscrapable training sites are dropped (they
+        carry no text signal), mirroring the paper's practice of
+        training on scraped text, and the rest are translated in one
+        :meth:`~repro.web.scraper.Scraper.translate_texts` batch.
         """
-        texts: List[str] = []
-        isp_labels: List[bool] = []
-        hosting_labels: List[bool] = []
-        for example in examples:
-            result = self._scraper.scrape(example.domain)
-            if result.empty:
-                continue
-            texts.append(result.text)
-            isp_labels.append(example.is_isp)
-            hosting_labels.append(example.is_hosting)
-        if not texts:
+        raws = self._scraper.gather_many(
+            [example.domain for example in examples]
+        )
+        kept = [
+            (example, raw)
+            for example, raw in zip(examples, raws)
+            if not raw.empty
+        ]
+        if not kept:
             raise ValueError("no scrapable training examples")
+        texts = self._scraper.translate_texts(
+            [raw.raw_text for _, raw in kept]
+        )
         features = self._vectorizer.fit_transform(texts)
         if self._tfidf is not None:
             features = self._tfidf.fit_transform(features)
-        self._isp.fit(features, isp_labels)
-        self._hosting.fit(features, hosting_labels)
+        self._isp.fit(features, [example.is_isp for example, _ in kept])
+        self._hosting.fit(
+            features, [example.is_hosting for example, _ in kept]
+        )
         self._fitted = True
         self._scorer = TextScorer(
             self._vectorizer, self._tfidf, self._isp, self._hosting
@@ -232,23 +239,14 @@ class WebClassificationPipeline:
         self._featcache.clear()
         return self
 
-    def classify_text(self, domain: str, text: str) -> ClassifierVerdict:
-        """Classify already-scraped (translated) text."""
-        if not self._fitted:
-            raise RuntimeError("pipeline is not fitted")
-        if not text.strip():
-            return ClassifierVerdict(domain=domain, scraped=False)
-        isp_score, hosting_score = self._scorer.score([text])[0]
-        return self._verdict(domain, isp_score, hosting_score)
-
     def _verdict(
         self, domain: str, isp_score: float, hosting_score: float
     ) -> ClassifierVerdict:
         return ClassifierVerdict(
             domain=domain,
             scraped=True,
-            is_isp=isp_score > self._threshold,
-            is_hosting=hosting_score > self._threshold,
+            is_isp=isp_score > DECISION_THRESHOLD,
+            is_hosting=hosting_score > DECISION_THRESHOLD,
             isp_score=isp_score,
             hosting_score=hosting_score,
         )
@@ -292,32 +290,21 @@ class WebClassificationPipeline:
         return scores
 
     def classify_domain(self, domain: str) -> ClassifierVerdict:
-        """Scrape then classify one domain (content-cache aware)."""
-        start = time.perf_counter()
-        raw = self._scraper.gather(domain)
-        if raw.empty:
-            verdict = ClassifierVerdict(domain=domain, scraped=False)
-        else:
-            if not self._fitted:
-                raise RuntimeError("pipeline is not fitted")
-            isp_score, hosting_score = self._scores_for_raw([raw])[0]
-            verdict = self._verdict(domain, isp_score, hosting_score)
-        self._m_classify_seconds.observe(time.perf_counter() - start)
-        self._m_verdicts.inc(1, outcome=self._verdict_outcome(verdict))
-        return verdict
+        """Scrape then classify one domain: a one-domain
+        :meth:`classify_domains`."""
+        return self.classify_domains([domain])[0]
 
     def classify_domains(
         self, domains: Sequence[str]
     ) -> List[ClassifierVerdict]:
-        """Batch :meth:`classify_domain`: one raw-scrape pass, one
+        """Scrape then classify domains: one raw-scrape pass, one
         content-cache probe, then one translate + vectorizer + TF-IDF +
         ensemble pass over the digest misses only.
 
-        Elementwise identical to the scalar path: every transform in the
-        stack (count vectorization, TF-IDF weighting with per-row L2
-        normalization, SGD decision scores) is row-independent, so the
-        scores for a text do not depend on what else is in the batch.
-        Verdict-outcome counters tick per domain as in the scalar path;
+        A domain's verdict does not depend on the rest of the batch:
+        every transform in the stack (count vectorization, TF-IDF
+        weighting with per-row L2 normalization, SGD decision scores) is
+        row-independent.  Verdict-outcome counters tick per domain;
         latency lands in ``asdb_ml_batch_seconds``.
         """
         if not self._fitted:

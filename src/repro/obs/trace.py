@@ -210,11 +210,6 @@ class TraceBuilder:
         """
         return _SpanRecorder(self._record, name)
 
-    def tag(self, **tags: object) -> "TraceBuilder":
-        """Stamp provenance tags onto the finished trace."""
-        self._tags.update(tags)
-        return self
-
     def fail(self, message: str) -> None:
         """Mark the classification as aborted; the first error sticks."""
         if self._error is None:
@@ -253,9 +248,6 @@ class NullTraceBuilder:
 
     def span(self, name: str) -> _NullSpan:
         return NULL_SPAN
-
-    def tag(self, **tags: object) -> "NullTraceBuilder":
-        return self
 
     def fail(self, message: str) -> None:
         return None

@@ -31,7 +31,6 @@ from ..core.database import ASdbRecord
 from ..core.history import TimelineEvent, fold_timelines
 from ..core.persistence import record_to_item
 from ..core.snapshots import SnapshotInfo, SnapshotStore
-from ..core.stages import Stage
 from ..world.names import token_set
 
 __all__ = ["HistoryIndex", "IndexVersion", "ReadIndex", "record_view"]
@@ -301,8 +300,11 @@ class ReadIndex:
 
     def org_matches(self, query: str) -> List[int]:
         """Every ASN whose organization matches all query tokens,
-        ascending — the unbounded candidate set behind
-        :meth:`search_org`, exposed so callers can report the true
+        ascending.
+
+        Tokenizes the query the same way index postings were built
+        (name normalization; dots split) and intersects the posting
+        lists.  The set is unbounded, so callers can report the true
         match count while still capping the records they materialize.
         """
         tokens = list(token_set(query.replace(".", " ")))
@@ -317,20 +319,6 @@ class ReadIndex:
             candidates = hits if candidates is None else candidates & hits
         return sorted(candidates) if candidates else []
 
-    def search_org(
-        self, query: str, limit: int = 20
-    ) -> List[ASdbRecord]:
-        """Records whose organization matches every query token.
-
-        Tokenizes the query the same way index postings were built
-        (name normalization; dots split), intersects the posting lists,
-        and returns up to ``limit`` records in ascending ASN order.
-        """
-        return [
-            self._records[asn]
-            for asn in self.org_matches(query)[: max(0, limit)]
-        ]
-
     def categories(self) -> Dict[str, int]:
         """AS count per layer 1 slug (a copy; the index stays frozen)."""
         return dict(self._categories)
@@ -338,13 +326,6 @@ class ReadIndex:
     def stage_counts(self) -> Dict[str, int]:
         """Record count per producing pipeline stage (a copy)."""
         return dict(self._stage_counts)
-
-    def stage_counts_typed(self) -> Dict[Stage, int]:
-        """Stage counts keyed by :class:`Stage` (protocol parity)."""
-        return {
-            Stage(slug): count
-            for slug, count in self._stage_counts.items()
-        }
 
 
 class HistoryIndex:

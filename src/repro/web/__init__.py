@@ -2,13 +2,15 @@
 
 Stands in for the live web + Google Translate that the paper's ML pipeline
 depends on.  The :class:`WebUniverse` holds generated sites; the
-:class:`Scraper` implements the Figure-3 keyword-link-following scrape; the
-:mod:`translate` module inverts the synthetic language ciphers.
+:class:`Scraper` implements the Figure-3 keyword-link-following scrape as
+one batch fetch (``gather_many``, yielding :class:`RawScrape` records) and
+one batch translate (``translate_texts``); the :mod:`translate` module
+inverts the synthetic language ciphers.
 """
 
 from .corpus import FILLER_WORDS, UNINFORMATIVE_TEXT, category_text
 from .language import ENGLISH, LANGUAGES, Language, by_code, encode_text
-from .scraper import ScrapeResult, Scraper
+from .scraper import RawScrape, Scraper
 from .site import Link, Page, Website, WebUniverse
 from .sitegen import SiteTraits, generate_site
 from .translate import TranslationResult, detect_language, translate_to_english
@@ -21,7 +23,7 @@ __all__ = [
     "SiteTraits",
     "generate_site",
     "Scraper",
-    "ScrapeResult",
+    "RawScrape",
     "Language",
     "LANGUAGES",
     "ENGLISH",

@@ -12,20 +12,25 @@ This implementation mirrors that design against the synthetic
 * pages whose text lives in images contribute nothing;
 * informative pages behind non-keyword link titles are never visited
   (the paper attributes 67% of ML false negatives to this).
+
+The scraper has one fetch call, :meth:`Scraper.gather_many`, and one
+translate call, :meth:`Scraper.translate_texts`.  Training and
+classification both go through them, and each is elementwise
+deterministic, so a domain's text does not depend on its batch.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..obs.metrics import MetricsRegistry, NULL_REGISTRY
 from ..taxonomy.keywords import SCRAPER_LINK_KEYWORDS
 from .site import WebUniverse
-from .translate import translate_many, translate_to_english
+from .translate import translate_many
 
-__all__ = ["ScrapeResult", "RawScrape", "Scraper"]
+__all__ = ["RawScrape", "Scraper"]
 
 #: Maximum internal pages visited per site (Figure 3: "up to five").
 MAX_INTERNAL_PAGES = 5
@@ -56,76 +61,44 @@ class RawScrape:
         """Whether nothing useful was fetched.
 
         Translation of a non-empty text is never empty (and vice
-        versa), so this agrees with :attr:`ScrapeResult.empty` for the
-        same fetch — which is what keeps the outcome counters and the
-        pipeline's unscraped verdicts identical on the raw path.
+        versa), so this also says whether the translated text is empty.
         """
         return not self.raw_text.strip()
 
 
-@dataclass(frozen=True)
-class ScrapeResult:
-    """Outcome of scraping one domain.
-
-    Attributes:
-        domain: The domain scraped.
-        reachable: Whether the site answered at all.
-        text: Concatenated translated text from visited pages.
-        pages_visited: Titles of the pages visited, homepage first.
-        detected_language: Language code detected during translation.
-    """
-
-    domain: str
-    reachable: bool
-    text: str
-    pages_visited: Tuple[str, ...] = ()
-    detected_language: str = "en"
-
-    @property
-    def empty(self) -> bool:
-        """Whether nothing useful was scraped."""
-        return not self.text.strip()
-
-
-def _link_matches_keywords(title: str, keywords: Tuple[str, ...]) -> bool:
-    lowered = title.lower()
-    tokens = set(lowered.replace("-", " ").split())
-    return any(keyword in tokens for keyword in keywords)
+def _link_matches_keywords(title: str) -> bool:
+    tokens = set(title.lower().replace("-", " ").split())
+    return any(keyword in tokens for keyword in SCRAPER_LINK_KEYWORDS)
 
 
 class Scraper:
     """Keyword-link-following scraper over a :class:`WebUniverse`.
 
+    Links are selected by the paper's Figure-3 keyword list
+    (:data:`~repro.taxonomy.keywords.SCRAPER_LINK_KEYWORDS`), at most
+    :data:`MAX_INTERNAL_PAGES` per site.
+
     Args:
         universe: The web to scrape.
-        link_keywords: Keywords for selecting internal links (defaults to
-            the paper's Figure-3 list).
-        max_internal_pages: Cap on internal pages per site.
         translate: Whether to run the translation stage (the ML ablation
             bench turns this off).
-        metrics: Optional metrics registry; emits scrape latency and
-            per-outcome scrape counters.
+        follow_internal_links: Whether to visit keyword-linked inner
+            pages (the ML ablation bench turns this off).
+        metrics: Optional metrics registry; emits per-batch scrape
+            latency and per-outcome scrape counters.
     """
 
     def __init__(
         self,
         universe: WebUniverse,
-        link_keywords: Tuple[str, ...] = SCRAPER_LINK_KEYWORDS,
-        max_internal_pages: int = MAX_INTERNAL_PAGES,
         translate: bool = True,
         follow_internal_links: bool = True,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self._universe = universe
-        self._link_keywords = tuple(kw.lower() for kw in link_keywords)
-        self._max_internal_pages = max_internal_pages
         self._translate = translate
         self._follow_internal_links = follow_internal_links
         registry = metrics if metrics is not None else NULL_REGISTRY
-        self._m_scrape_seconds = registry.histogram(
-            "asdb_scrape_seconds",
-            "Site scrape latency (fetch, link-follow, translate).",
-        )
         self._m_scrapes = registry.counter(
             "asdb_scrapes_total",
             "Scrape attempts by outcome.",
@@ -138,83 +111,11 @@ class Scraper:
             "Bulk scrape latency per batch (fetch + batched translate).",
         )
 
-    def scrape(self, domain: str) -> ScrapeResult:
-        """Scrape one domain: root page plus keyword-selected inner pages."""
-        start = time.perf_counter()
-        result = self._scrape(domain)
-        self._m_scrape_seconds.observe(time.perf_counter() - start)
-        self._m_scrapes.inc(1, outcome=self._outcome(result))
-        return result
-
-    def scrape_many(self, domains: Sequence[str]) -> List[ScrapeResult]:
-        """Batch scrape: fetch every site, translate all texts in one pass.
-
-        Elementwise identical to :meth:`scrape` — page selection is
-        per-domain, and batch translation is per-text deterministic.
-        Outcome counters tick per domain exactly as in the scalar path;
-        latency lands in ``asdb_scrape_batch_seconds`` (one observation
-        per batch) instead of the per-scrape histogram.
-        """
-        start = time.perf_counter()
-        gathered = [self._gather(domain) for domain in domains]
-        positions = [
-            index for index, (_, raw, _) in enumerate(gathered)
-            if raw and self._translate
-        ]
-        translations = translate_many(
-            [gathered[index][1] for index in positions]
-        )
-        translated = dict(zip(positions, translations))
-        results: List[ScrapeResult] = []
-        for index, (reachable, raw, visited) in enumerate(gathered):
-            if not reachable:
-                results.append(
-                    ScrapeResult(
-                        domain=domains[index], reachable=False, text=""
-                    )
-                )
-                continue
-            text, detected = raw, "en"
-            hit = translated.get(index)
-            if hit is not None:
-                text, detected = hit.text, hit.detected.code
-            results.append(
-                ScrapeResult(
-                    domain=domains[index],
-                    reachable=True,
-                    text=text,
-                    pages_visited=visited,
-                    detected_language=detected,
-                )
-            )
-        self._m_batch_seconds.observe(time.perf_counter() - start)
-        for result in results:
-            self._m_scrapes.inc(1, outcome=self._outcome(result))
-        return results
-
-    def gather(self, domain: str) -> RawScrape:
-        """Fetch one domain without translating (see :class:`RawScrape`).
-
-        Scrape latency and outcome counters tick exactly as for
-        :meth:`scrape` — the outcome of a fetch does not depend on
-        translation.
-        """
-        start = time.perf_counter()
-        reachable, raw, visited = self._gather(domain)
-        result = RawScrape(
-            domain=domain,
-            reachable=reachable,
-            raw_text=raw,
-            pages_visited=visited,
-        )
-        self._m_scrape_seconds.observe(time.perf_counter() - start)
-        self._m_scrapes.inc(1, outcome=self._raw_outcome(result))
-        return result
-
     def gather_many(self, domains: Sequence[str]) -> List[RawScrape]:
-        """Batch :meth:`gather`; elementwise identical to the scalar
-        form.  Batch latency lands in ``asdb_scrape_batch_seconds`` and
-        outcome counters tick per domain, as in :meth:`scrape_many`."""
+        """Fetch each domain's root page and keyword-linked inner pages,
+        without translating (see :class:`RawScrape`).  Batch latency
+        lands in ``asdb_scrape_batch_seconds``, and the outcome counters
+        tick once per domain."""
         start = time.perf_counter()
         results = []
         for domain in domains:
@@ -229,12 +130,17 @@ class Scraper:
             )
         self._m_batch_seconds.observe(time.perf_counter() - start)
         for result in results:
-            self._m_scrapes.inc(1, outcome=self._raw_outcome(result))
+            self._m_scrapes.inc(
+                1,
+                outcome="unreachable" if not result.reachable
+                else "empty" if result.empty
+                else "ok",
+            )
         return results
 
     def translate_texts(self, texts: Sequence[str]) -> List[str]:
-        """Translate raw scraped texts exactly as :meth:`scrape_many`
-        would (elementwise deterministic); a no-op passthrough when the
+        """Translate raw scraped texts to English in one batch
+        (elementwise deterministic); a no-op passthrough when the
         scraper's translation stage is disabled."""
         out = list(texts)
         if not self._translate:
@@ -245,29 +151,12 @@ class Scraper:
             out[index] = result.text
         return out
 
-    @staticmethod
-    def _raw_outcome(result: RawScrape) -> str:
-        return (
-            "unreachable" if not result.reachable
-            else "empty" if result.empty
-            else "ok"
-        )
-
-    @staticmethod
-    def _outcome(result: ScrapeResult) -> str:
-        return (
-            "unreachable" if not result.reachable
-            else "empty" if result.empty
-            else "ok"
-        )
-
     def _gather(
         self, domain: str
     ) -> Tuple[bool, str, Tuple[str, ...]]:
         """Fetch one site's raw (untranslated) text.
 
-        Returns ``(reachable, raw_text, pages_visited)``; the scalar and
-        batch paths share this so their page selection cannot diverge.
+        Returns ``(reachable, raw_text, pages_visited)``.
         """
         site = self._universe.fetch(domain)
         if site is None:
@@ -282,9 +171,9 @@ class Scraper:
         if self._follow_internal_links:
             followed = 0
             for link in site.links:
-                if followed >= self._max_internal_pages:
+                if followed >= MAX_INTERNAL_PAGES:
                     break
-                if not _link_matches_keywords(link.title, self._link_keywords):
+                if not _link_matches_keywords(link.title):
                     continue
                 followed += 1
                 visited.append(link.page.title)
@@ -293,20 +182,3 @@ class Scraper:
                     chunks.append(inner_text)
 
         return True, " ".join(chunks), tuple(visited)
-
-    def _scrape(self, domain: str) -> ScrapeResult:
-        reachable, raw, visited = self._gather(domain)
-        if not reachable:
-            return ScrapeResult(domain=domain, reachable=False, text="")
-        detected = "en"
-        if self._translate and raw:
-            result = translate_to_english(raw)
-            raw = result.text
-            detected = result.detected.code
-        return ScrapeResult(
-            domain=domain,
-            reachable=True,
-            text=raw,
-            pages_visited=visited,
-            detected_language=detected,
-        )

@@ -1,5 +1,4 @@
-"""A test-side copy of the scalar per-AS driver, the batch engine's
-reference.
+"""Test-side copies of the scalar per-item paths the batch code replaced.
 
 ``ASdb`` has one driver, :func:`repro.core.parallel.run_batch`.  Its
 parity tests compare it against this module: every AS in ascending
@@ -7,12 +6,17 @@ order, its stage generator served one request at a time through the
 per-item source calls (``try_lookup`` on a resilient source, ``lookup``
 on any other) and ``classify_domain`` — the pass the batch engine must
 reproduce byte for byte.
+
+``WebClassificationPipeline.fit`` fetches and translates its examples
+in batches; :func:`training_inputs` is the per-example loop it must
+reproduce.
 """
 
 from repro.core.pipeline import REQUEST_ASN_MATCH, REQUEST_ML
 from repro.datasources.base import Query
 from repro.matching.resolver import ResolvedSources
 from repro.obs.trace import trace_builder
+from repro.web.translate import translate_to_english
 
 
 def classify_ascending(asdb, asns=None):
@@ -96,3 +100,21 @@ def _lookup(source, query):
         outcome = source.try_lookup(query)
         return outcome.match, outcome.failed
     return source.lookup(query), False
+
+
+def training_inputs(scraper, examples):
+    """``(texts, isp_labels, hosting_labels)`` as the per-example loop
+    built them for training: each site gathered alone, translated with
+    ``translate_to_english`` when the scraper translates, and dropped
+    when its text is empty."""
+    texts, isp_labels, hosting_labels = [], [], []
+    for example in examples:
+        _, text, _ = scraper._gather(example.domain)
+        if scraper._translate and text:
+            text = translate_to_english(text).text
+        if not text.strip():
+            continue
+        texts.append(text)
+        isp_labels.append(example.is_isp)
+        hosting_labels.append(example.is_hosting)
+    return texts, isp_labels, hosting_labels

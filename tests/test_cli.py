@@ -553,6 +553,7 @@ class TestReleaseCommands:
     @pytest.mark.parametrize("argv", [
         ["asof", "--version", "1"],
         ["diff", "--from", "1", "--to", "1"],
+        ["timeline", "--asn", "64512"],
     ], ids=lambda argv: argv[0])
     def test_corrupt_document_is_an_error_not_a_traceback(
         self, store, capsys, argv, corruption

@@ -13,6 +13,7 @@ from repro.ml import (
     roc_auc,
 )
 from repro.web import Scraper
+from scalar_reference import training_inputs
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +69,10 @@ class TestPipelineBehavior:
 
     def test_classify_before_fit_raises(self, medium_world):
         pipeline = WebClassificationPipeline(Scraper(medium_world.web))
-        with pytest.raises(RuntimeError):
-            pipeline.classify_text("x.example", "some text")
+        reachable = sorted(medium_world.web.domains())[0]
+        for domain in (reachable, "x.example"):
+            with pytest.raises(RuntimeError):
+                pipeline.classify_domain(domain)
 
     def test_fit_with_no_scrapable_examples_raises(self, medium_world):
         pipeline = WebClassificationPipeline(Scraper(medium_world.web))
@@ -86,6 +89,60 @@ class TestPipelineBehavior:
         a = pipeline.classify_domain(org.domain)
         b = pipeline.classify_domain(org.domain)
         assert a == b
+
+
+def _recorded_fit_inputs(pipeline, examples):
+    """Fit ``pipeline`` and return what it handed the vectorizer (the
+    texts) and each ensemble (the labels, and the feature row count)."""
+    seen = {}
+    fit_transform = pipeline._vectorizer.fit_transform
+
+    def record_texts(texts):
+        seen["texts"] = list(texts)
+        return fit_transform(texts)
+
+    pipeline._vectorizer.fit_transform = record_texts
+    for name in ("_isp", "_hosting"):
+        ensemble = getattr(pipeline, name)
+
+        def record_labels(features, labels, name=name, fit=ensemble.fit):
+            seen[name] = (features.shape[0], list(labels))
+            return fit(features, labels)
+
+        ensemble.fit = record_labels
+    pipeline.fit(examples)
+    return seen
+
+
+class TestFitParity:
+    """``fit`` fetches and translates in batches; it must train on the
+    texts, labels and order of the per-example loop it replaced."""
+
+    @pytest.mark.parametrize("world_name", ["small_world", "medium_world"])
+    @pytest.mark.parametrize("translate", [True, False])
+    @pytest.mark.parametrize("follow", [True, False])
+    def test_fit_inputs_match_per_example_loop(
+        self, request, world_name, translate, follow
+    ):
+        world = request.getfixturevalue(world_name)
+        examples = build_training_examples(
+            world, DunBradstreet(world), random.Random(99)
+        )
+        # One example that cannot be scraped, so the drop is exercised.
+        examples.insert(3, TrainingExample("no.such.example", True, True))
+        scraper = Scraper(
+            world.web, translate=translate, follow_internal_links=follow
+        )
+        texts, isp_labels, hosting_labels = training_inputs(
+            scraper, examples
+        )
+        assert 0 < len(texts) < len(examples)
+        seen = _recorded_fit_inputs(
+            WebClassificationPipeline(scraper, seed=5), examples
+        )
+        assert seen["texts"] == texts
+        assert seen["_isp"] == (len(texts), isp_labels)
+        assert seen["_hosting"] == (len(texts), hosting_labels)
 
 
 class TestPipelineAccuracy:

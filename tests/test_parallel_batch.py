@@ -197,14 +197,20 @@ class TestBulkEndpoints:
         scalar = [pipeline.classify_domain(domain) for domain in domains]
         assert batch == scalar  # includes exact float scores
 
-    def test_scrape_many_identical_to_scalar(self):
+    def test_gather_and_translate_are_batch_independent(self):
         from repro.web.scraper import Scraper
 
         world = _sibling_world(5, n_orgs=60)
         scraper = Scraper(world.web)
         domains = sorted(world.web.domains())[:80] + ["nonexistent.invalid"]
-        assert scraper.scrape_many(domains) == [
-            scraper.scrape(domain) for domain in domains
+        raws = scraper.gather_many(domains)
+        assert raws == [
+            scraper.gather_many([domain])[0] for domain in domains
+        ]
+        texts = [raw.raw_text for raw in raws]
+        assert any(texts) and "" in texts
+        assert scraper.translate_texts(texts) == [
+            scraper.translate_texts([text])[0] for text in texts
         ]
 
     def test_translate_many_identical_to_scalar(self):

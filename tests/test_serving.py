@@ -91,7 +91,10 @@ class TestReadIndex:
             assert index.get(record.asn) == record
             assert record.asn in index
         assert index.categories() == dataset.category_histogram()
-        assert index.stage_counts_typed() == dataset.stage_counts()
+        assert index.stage_counts() == {
+            stage.value: count
+            for stage, count in dataset.stage_counts().items()
+        }
 
     def test_get_unknown(self):
         index = ReadIndex.build([_record(1)])
@@ -104,24 +107,25 @@ class TestReadIndex:
             _record(2, org="Acme Networks"),
             _record(3, org="Globex"),
         ])
-        hits = index.search_org("acme")
-        assert [record.asn for record in hits] == [1, 2]
-        assert [r.asn for r in index.search_org("acme networks")] == [2]
-        assert index.search_org("initech") == []
+        assert index.org_matches("acme") == [1, 2]
+        assert index.org_matches("acme networks") == [2]
+        assert index.org_matches("initech") == []
 
     def test_search_org_by_domain(self):
         index = ReadIndex.build([
             _record(9, domain="acme-networks.example"),
         ])
-        assert [r.asn for r in index.search_org("acme-networks.example")] \
-            == [9]
+        assert index.org_matches("acme-networks.example") == [9]
 
     def test_search_limit_ascending(self):
         index = ReadIndex.build(
             [_record(asn, org="Acme") for asn in range(50, 0, -1)]
         )
-        hits = index.search_org("acme", limit=5)
-        assert [record.asn for record in hits] == [1, 2, 3, 4, 5]
+        assert index.org_matches("acme") == list(range(1, 51))
+        _, body, _ = ServingApp(index).handle_request(
+            "GET", "/org/acme?limit=5"
+        )
+        assert [m["asn"] for m in body["matches"]] == [1, 2, 3, 4, 5]
 
     def test_record_view_shape(self):
         record = _record(7, domain="x.example")
@@ -990,10 +994,8 @@ class TestIncrementalRefresh:
         _assert_index_equal(incremental, full)
         record = incremental.get(1)
         assert sorted(record.labels.layer2_slugs()) == ["banks"]
-        assert [r.asn for r in incremental.search_org("globex")] == [1]
-        assert incremental.search_org("acme") and all(
-            r.asn == 2 for r in incremental.search_org("acme")
-        )
+        assert incremental.org_matches("globex") == [1]
+        assert incremental.org_matches("acme") == [2]
 
     def test_incremental_refuses_stale_lineage(self, tmp_path):
         """Digest mismatch, a full save in the chain, or a digest-less

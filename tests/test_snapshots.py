@@ -60,7 +60,7 @@ class TestSnapshotStore:
         info = store.save(dataset, window=(-1, 0))
         assert info.version == 1 and info.kind == "full"
         # The stored document is byte-identical to dataset_to_json.
-        assert store.read_json(1) == dataset_to_json(dataset)
+        assert dataset_to_json(store.load(1)) == dataset_to_json(dataset)
         on_disk = (tmp_path / "store" / info.filename).read_text()
         assert on_disk == dataset_to_json(dataset)
 
@@ -89,7 +89,8 @@ class TestSnapshotStore:
         for dataset in (v1, v2, v3):
             store.save(dataset)
         for version, dataset in ((1, v1), (2, v2), (3, v3)):
-            assert store.read_json(version) == dataset_to_json(dataset)
+            assert dataset_to_json(store.load(version)) == \
+                dataset_to_json(dataset)
             reloaded = store.load(version)
             assert [record for record in reloaded] == list(dataset)
 
@@ -544,9 +545,10 @@ class TestIncrementalRefresh:
     ):
         world, system = built
         system.daemon.sweep(current_day=0)
-        assert system.snapshots.read_json(1) == dataset_to_json(
-            system.asdb.dataset
-        )
+        snapshots = system.snapshots
+        path = os.path.join(snapshots.root, snapshots.info(1).filename)
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == dataset_to_json(system.asdb.dataset)
 
 
 class TestSweepReportWindows:
